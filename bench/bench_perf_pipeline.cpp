@@ -95,7 +95,7 @@ void BM_SpectralSketch(benchmark::State& state) {
   // Isolates the blocked CSR subspace-iteration sketch (PR 8) from the rest
   // of graph_features, at the production pass budget featurization uses. The
   // expected values are pinned once up front and every timed call is checked
-  // against them, so a dispatch or convergence regression aborts the
+  // against them, so a scratch-reuse or convergence regression aborts the
   // benchmark instead of publishing a bogus number.
   std::vector<graph::NetGraph> graphs;
   std::vector<std::vector<double>> expected;

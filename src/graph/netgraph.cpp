@@ -208,11 +208,8 @@ double sketch_seed(std::size_t i, std::size_t c) {
 }
 
 /// Cyclic Jacobi eigensolver for the m x m symmetric Rayleigh-Ritz matrix
-/// (m is the block width, so this is a few sweeps over a 4x4). noinline so
-/// the target-cloned sketch bodies below share ONE compiled copy — if the
-/// AVX2 clone inlined and re-vectorized it, the two clones could disagree
-/// at ulp level and the cross-machine determinism claim would be gone.
-[[gnu::noinline]] void jacobi_eigenvalues(double* s, std::size_t m, double* eig) {
+/// (m is the block width, so this is a few sweeps over a 4x4).
+void jacobi_eigenvalues(double* s, std::size_t m, double* eig) {
   for (int sweep = 0; sweep < 50; ++sweep) {
     double off = 0.0;
     for (std::size_t p = 0; p < m; ++p) {
@@ -246,27 +243,15 @@ double sketch_seed(std::size_t i, std::size_t c) {
   for (std::size_t i = 0; i < m; ++i) eig[i] = s[i * m + i];
 }
 
-#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
-#define NOODLE_SKETCH_X86 1
-#else
-#define NOODLE_SKETCH_X86 0
-#endif
-
-/// The entire fixed-width-4 blocked iteration, shared verbatim by the
-/// baseline and AVX2 wrappers below. always_inline so each wrapper compiles
-/// its own copy under its own ISA: the four accumulator lanes map one-to-one
-/// onto block columns, so wider vectors never reassociate any per-column sum
-/// (SLP packs the lanes, it does not split a reduction), and the AVX2 clone
-/// is compiled WITHOUT fma, so contraction is impossible. Both wrappers are
-/// therefore bit-identical — the same determinism argument as the nn GEMM
-/// kernels (src/nn/kernels.cpp).
+/// The blocked iteration over one fixed 4-wide block. The four accumulator
+/// lanes map one-to-one onto block columns, so each column's sums run in
+/// a fixed order on every machine.
 ///
 /// `small` is the caller's sketch_small scratch laid out as
 /// norms[4] | prev[4] | gram[4x4] | chol[4x4].
-[[gnu::always_inline]] inline void sketch_w4_body(
-    const std::size_t* offsets, const std::uint32_t* adj, std::size_t n,
-    std::size_t iterations, double* vp, double* wp, double* small,
-    std::span<double> out) {
+void sketch_block(const std::size_t* offsets, const std::uint32_t* adj, std::size_t n,
+                  std::size_t iterations, double* vp, double* wp, double* small,
+                  std::span<double> out) {
   constexpr std::size_t W = kSketchBlock;
   double* norms = small;
   double* prev = norms + W;
@@ -315,8 +300,10 @@ double sketch_seed(std::size_t i, std::size_t c) {
         wr[3] *= i3;
       }
     } else {
-      // Fused SpMV + full 4x4 Gram, then Cholesky-QR (see the runtime-width
-      // path in spectral_sketch for the commented reference version).
+      // Fused SpMV + full 4x4 Gram, then Cholesky-QR: factor the Gram
+      // matrix and apply L⁻ᵀ row-wise. A column whose pivot collapses is
+      // rank-deficient (the graph has fewer independent spectral
+      // directions than the block is wide) and is zeroed.
       std::array<double, 10> g{};
       for (std::size_t i = 0; i < n; ++i) {
         double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
@@ -402,7 +389,9 @@ double sketch_seed(std::size_t i, std::size_t c) {
     std::copy(norms, norms + W, prev);
   }
 
-  // Rayleigh-Ritz: one more fused CSR pass computes S = Vᵀ(A·V) directly.
+  // Rayleigh-Ritz: one more fused CSR pass computes S = Vᵀ(A·V) over the
+  // final orthonormal block, then a small Jacobi sweep; the Ritz
+  // magnitudes, sorted descending, are the sketch.
   std::array<double, 10> s{};
   for (std::size_t i = 0; i < n; ++i) {
     double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
@@ -441,42 +430,15 @@ double sketch_seed(std::size_t i, std::size_t c) {
   for (std::size_t k = 0; k < out.size(); ++k) out[k] = chol[k];
 }
 
-void sketch_w4_baseline(const std::size_t* offsets, const std::uint32_t* adj,
-                        std::size_t n, std::size_t iterations, double* vp,
-                        double* wp, double* small, std::span<double> out) {
-  sketch_w4_body(offsets, adj, n, iterations, vp, wp, small, out);
-}
-
-#if NOODLE_SKETCH_X86
-// target("avx2") only — deliberately no fma, same as the AVX2 GEMM kernel.
-__attribute__((target("avx2"))) void sketch_w4_avx2(
-    const std::size_t* offsets, const std::uint32_t* adj, std::size_t n,
-    std::size_t iterations, double* vp, double* wp, double* small,
-    std::span<double> out) {
-  sketch_w4_body(offsets, adj, n, iterations, vp, wp, small, out);
-}
-#endif
-
-/// Runtime dispatch for the width-4 sketch: one cpuid probe, cached.
-void sketch_w4(const std::size_t* offsets, const std::uint32_t* adj, std::size_t n,
-               std::size_t iterations, double* vp, double* wp, double* small,
-               std::span<double> out) {
-#if NOODLE_SKETCH_X86
-  static const bool have_avx2 = __builtin_cpu_supports("avx2") != 0;
-  if (have_avx2) {
-    sketch_w4_avx2(offsets, adj, n, iterations, vp, wp, small, out);
-    return;
-  }
-#endif
-  sketch_w4_baseline(offsets, adj, n, iterations, vp, wp, small, out);
-}
-
 }  // namespace
 
 void NetGraph::spectral_sketch(std::span<double> out, std::size_t iterations,
                                AnalysisScratch& scratch) const {
   const std::size_t n = nodes_.size();
   const std::size_t count = out.size();
+  if (count > kSketchBlock) {
+    throw std::invalid_argument("NetGraph::spectral_sketch: at most 4 eigenvalues");
+  }
   std::fill(out.begin(), out.end(), 0.0);
   if (n == 0 || count == 0) return;
 
@@ -523,153 +485,17 @@ void NetGraph::spectral_sketch(std::span<double> out, std::size_t iterations,
   // eigensolve ~30x tighter than the v1 deflated sketch at 50 passes while
   // walking the adjacency ~6x fewer times (asserted in tests/test_graph.cpp
   // against a dense Jacobi ground truth).
-  //
-  // Blocks wider than kSketchBlock (count > 4, unused by the feature
-  // pipeline) reuse the same algorithm at runtime width.
-  const std::size_t width = std::max(count, kSketchBlock);
+  constexpr std::size_t W = kSketchBlock;
   std::vector<double>& v_block = scratch.vec_a;
   std::vector<double>& w_block = scratch.vec_b;
-  v_block.resize(n * width);
-  w_block.resize(n * width);
+  v_block.resize(n * W);
+  w_block.resize(n * W);
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t c = 0; c < width; ++c) {
-      v_block[i * width + c] = sketch_seed(i, c);
-    }
+    for (std::size_t c = 0; c < W; ++c) v_block[i * W + c] = sketch_seed(i, c);
   }
-  double* vp = v_block.data();
-  double* wp = w_block.data();
-
-  scratch.sketch_small.resize(2 * width + 2 * width * width);
-  if (width == kSketchBlock) {
-    // The production shape (count <= 4): runtime-dispatched fixed-width
-    // kernel, AVX2 when the machine has it, bit-identical either way.
-    sketch_w4(offsets, adj, n, iterations, vp, wp, scratch.sketch_small.data(),
-              out);
-    return;
-  }
-
-  double* norms = scratch.sketch_small.data();
-  double* prev = norms + width;
-  double* gram = prev + width;            // upper-packed: [p * width + q], p <= q
-  double* chol = gram + width * width;    // lower-triangular L
-  std::fill(prev, prev + width, -1.0);
-
-  // One fused CSR pass: gather A·V row by row; accumulate either the column
-  // square-norms or the full Gram matrix of the result in the same loop.
-  // This is the runtime-width reference of the fixed-width-4 kernel above.
-  const auto spmv_pass = [&](bool want_gram) {
-    std::fill(gram, gram + width * width, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      double* wr = wp + i * width;
-      std::fill(wr, wr + width, 0.0);
-      for (std::size_t idx = offsets[i]; idx < offsets[i + 1]; ++idx) {
-        const double* vr = vp + adj[idx] * width;
-        for (std::size_t c = 0; c < width; ++c) wr[c] += vr[c];
-      }
-      if (want_gram) {
-        for (std::size_t p = 0; p < width; ++p) {
-          for (std::size_t q = p; q < width; ++q) {
-            gram[p * width + q] += wr[p] * wr[q];
-          }
-        }
-      } else {
-        for (std::size_t c = 0; c < width; ++c) {
-          gram[c * width + c] += wr[c] * wr[c];
-        }
-      }
-    }
-    for (std::size_t c = 0; c < width; ++c) {
-      norms[c] = std::sqrt(gram[c * width + c]);
-    }
-  };
-
-  int stationary_streak = 0;
-  for (std::size_t pass = 0; pass < iterations; ++pass) {
-    const bool orthonormalize = (pass % 4 == 3) || pass + 1 == iterations;
-    spmv_pass(orthonormalize);
-    if (!orthonormalize) {
-      // Cheap pass: renormalize each column independently.
-      for (std::size_t c = 0; c < width; ++c) {
-        const double inv = norms[c] < 1e-12 ? 0.0 : 1.0 / norms[c];
-        for (std::size_t i = 0; i < n; ++i) wp[i * width + c] *= inv;
-      }
-    } else {
-      // Cholesky-QR: factor the Gram matrix and apply L⁻ᵀ row-wise. A
-      // column whose pivot collapses is rank-deficient (the graph has
-      // fewer independent spectral directions than the block is wide) and
-      // is zeroed, mirroring the v1 norm < 1e-12 cutoff.
-      std::fill(chol, chol + width * width, 0.0);
-      for (std::size_t c = 0; c < width; ++c) {
-        double d = gram[c * width + c];
-        for (std::size_t p = 0; p < c; ++p) d -= chol[c * width + p] * chol[c * width + p];
-        if (!(d > 1e-24)) {
-          chol[c * width + c] = 0.0;  // sentinel: dead column
-          continue;
-        }
-        chol[c * width + c] = std::sqrt(d);
-        for (std::size_t r = c + 1; r < width; ++r) {
-          double s = gram[c * width + r];
-          for (std::size_t p = 0; p < c; ++p) s -= chol[r * width + p] * chol[c * width + p];
-          chol[r * width + c] = s / chol[c * width + c];
-        }
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        double* wr = wp + i * width;
-        for (std::size_t c = 0; c < width; ++c) {
-          if (chol[c * width + c] == 0.0) {
-            wr[c] = 0.0;
-            continue;
-          }
-          double q = wr[c];
-          for (std::size_t p = 0; p < c; ++p) q -= chol[c * width + p] * wr[p];
-          wr[c] = q / chol[c * width + c];
-        }
-      }
-    }
-    std::swap(vp, wp);
-    bool stationary = true;
-    for (std::size_t c = 0; c < width; ++c) {
-      if (std::abs(norms[c] - prev[c]) >
-          kSpectralConvergenceTol * std::max(norms[c], 1.0)) {
-        stationary = false;
-        break;
-      }
-    }
-    if (stationary) {
-      if (++stationary_streak >= kSpectralConvergenceStreak) break;
-    } else {
-      stationary_streak = 0;
-    }
-    std::copy(norms, norms + width, prev);
-  }
-
-  // Rayleigh-Ritz: S = Vᵀ(A·V) over the final orthonormal block, then a
-  // small Jacobi sweep; the Ritz magnitudes, sorted descending, are the
-  // sketch. One more fused CSR pass computes A·V and the projection.
-  std::fill(gram, gram + width * width, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    double* wr = wp + i * width;
-    std::fill(wr, wr + width, 0.0);
-    for (std::size_t idx = offsets[i]; idx < offsets[i + 1]; ++idx) {
-      const double* vr = vp + adj[idx] * width;
-      for (std::size_t c = 0; c < width; ++c) wr[c] += vr[c];
-    }
-    const double* vr = vp + i * width;
-    for (std::size_t p = 0; p < width; ++p) {
-      for (std::size_t q = p; q < width; ++q) {
-        gram[p * width + q] += vr[p] * wr[q];
-      }
-    }
-  }
-  for (std::size_t p = 0; p < width; ++p) {
-    for (std::size_t q = p + 1; q < width; ++q) {
-      gram[q * width + p] = gram[p * width + q];
-    }
-  }
-  jacobi_eigenvalues(gram, width, chol);  // chol doubles as eigenvalue storage
-  for (std::size_t c = 0; c < width; ++c) chol[c] = std::abs(chol[c]);
-  std::sort(chol, chol + width, std::greater<>());
-  for (std::size_t k = 0; k < count; ++k) out[k] = chol[k];
+  scratch.sketch_small.resize(2 * W + 2 * W * W);
+  sketch_block(offsets, adj, n, iterations, v_block.data(), w_block.data(),
+               scratch.sketch_small.data(), out);
 }
 
 NetGraph::NodeId NetGraph::find_cycle_node(std::span<const std::uint8_t> excluded,

@@ -60,7 +60,7 @@ struct AnalysisScratch {
   std::vector<std::uint8_t> seen;
   std::vector<std::size_t> queue;  // BFS ring buffer (head index, no pops)
   std::vector<std::size_t> dist;
-  std::vector<double> vec_a;         // blocked-iteration block V (n x width)
+  std::vector<double> vec_a;         // blocked-iteration block V (n x 4)
   std::vector<double> vec_b;         // blocked-iteration block A·V
   std::vector<double> sketch_small;  // norms / Gram / Cholesky small scratch
   // CSR image of the symmetrized adjacency A + Aᵀ, materialized once per
@@ -169,10 +169,12 @@ class NetGraph {
   /// feat::kFeatureVersion 2). `iterations` is a cap: the loop exits early
   /// once every column-norm estimate is stationary to a relative 1e-13 for
   /// two consecutive passes (well-separated spectra exit within a handful
-  /// of passes; near-degenerate ones run the full budget).
+  /// of passes; near-degenerate ones run the full budget). The block is
+  /// the whole subspace, so `count` may be at most 4; larger counts throw
+  /// std::invalid_argument.
   std::vector<double> spectral_sketch(
       std::size_t count, std::size_t iterations = kSpectralSketchIterations) const;
-  /// In-place form: writes `out.size()` eigenvalues.
+  /// In-place form: writes `out.size()` (at most 4) eigenvalues.
   void spectral_sketch(std::span<double> out, std::size_t iterations,
                        AnalysisScratch& scratch) const;
 

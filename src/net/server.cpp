@@ -36,7 +36,7 @@ ScanServer::~ScanServer() {
 void ScanServer::start() {
   std::error_code ec;
   std::uint16_t port = config_.port;
-  listener_ = listen_tcp(config_.bind_address, port, config_.backlog, ec);
+  listener_ = listen_tcp(config_.bind_address, port, kListenBacklog, ec);
   if (!listener_) {
     throw std::system_error(ec, "ScanServer: cannot listen on " +
                                     config_.bind_address + ":" +
@@ -133,7 +133,7 @@ bool ScanServer::handle_read(std::uint64_t id) {
   conn->rbuf.append(chunk, static_cast<std::size_t>(n));
   arm_idle_timer(*conn);
 
-  if (conn->rbuf.size() > config_.max_line_bytes &&
+  if (conn->rbuf.size() > kMaxLineBytes &&
       conn->rbuf.find('\n') == std::string::npos) {
     // A "line" the size of the cap with no newline is not a request, it is
     // a memory exhaustion attempt (or a framing bug). Either way: out.
@@ -399,7 +399,7 @@ bool ScanServer::write_some(Connection& conn) {
     conn.wbuf.erase(0, conn.wbuf_off);
     conn.wbuf_off = 0;
   }
-  if (conn.buffered_bytes() > config_.wbuf_hard_limit) {
+  if (conn.buffered_bytes() > kWbufHardLimit) {
     // Past the hard cap the client is not slow, it is absent (or
     // malicious). Its buffered bytes are the only per-connection memory
     // not otherwise bounded — reclaim them.
@@ -411,7 +411,7 @@ bool ScanServer::write_some(Connection& conn) {
     conn.want_write = true;
     interest_changed = true;
   }
-  if (!conn.paused && conn.buffered_bytes() > config_.wbuf_soft_limit) {
+  if (!conn.paused && conn.buffered_bytes() > kWbufSoftLimit) {
     // Backpressure: stop READING this connection. Its pipelined requests
     // stay in the kernel buffer and eventually throttle the sender; other
     // connections are untouched.

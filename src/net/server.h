@@ -11,7 +11,7 @@
 //   * backpressure — each connection owns a bounded write buffer; past the
 //     soft limit the server stops READING that connection (a slow client
 //     throttles itself, not its neighbours), past the hard limit the
-//     connection is dropped. rbuf is bounded by max_line_bytes, pipelined
+//     connection is dropped. rbuf is bounded by kMaxLineBytes, pipelined
 //     work by max_inflight — per-connection memory is capped everywhere;
 //   * watchdogs — idle connections (nothing pending, nothing buffered) and
 //     write-stalled clients (buffered bytes, no drain progress) are
@@ -50,22 +50,24 @@
 
 namespace noodle::net {
 
+/// listen(2) backlog of the accepting socket.
+inline constexpr int kListenBacklog = 128;
+/// A request line longer than this (no newline yet) is a protocol
+/// violation: the connection is dropped.
+inline constexpr std::size_t kMaxLineBytes = 1 << 20;
+/// Write-buffer backpressure: stop reading past soft, drop past hard.
+inline constexpr std::size_t kWbufSoftLimit = 256 * 1024;
+inline constexpr std::size_t kWbufHardLimit = 1024 * 1024;
+
 struct ServerConfig {
   std::string bind_address = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = kernel-assigned; see ScanServer::port()
-  int backlog = 128;
   /// Accepted connections beyond this are closed immediately (counted as
   /// dropped) — the listener itself keeps accepting so the backlog can
   /// never silently fill with zombies.
   std::size_t max_connections = 1024;
   /// Socket requests in flight with the service; excess answers "BUSY".
   std::size_t max_inflight = 256;
-  /// A request line longer than this (no newline yet) is a protocol
-  /// violation: the connection is dropped.
-  std::size_t max_line_bytes = 1 << 20;
-  /// Write-buffer backpressure: stop reading past soft, drop past hard.
-  std::size_t wbuf_soft_limit = 256 * 1024;
-  std::size_t wbuf_hard_limit = 1024 * 1024;
   /// Evict a connection with nothing pending and nothing buffered after
   /// this long without a byte received. Zero disables.
   std::chrono::milliseconds idle_timeout{30000};

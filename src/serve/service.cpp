@@ -658,7 +658,7 @@ void DetectionService::process_group(const std::string& group_label,
       // its verdicts. The span records the whole-batch scan once into the
       // infer histogram; per-request shares land in timing.infer_us.
       obs::TraceSpan span(stage_hist_[kStageInfer]);
-      reports = handle->model().scan_many(samples, config_.scan_threads);
+      reports = handle->model().scan_many(samples, /*threads=*/1);
       scan_nanos = span.finish();
     } catch (...) {
       // A batch-level failure must not leave futures dangling (a task

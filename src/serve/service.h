@@ -81,11 +81,9 @@ struct ServiceConfig {
   std::chrono::milliseconds batch_linger{2};
   /// LRU verdict-cache capacity in entries; 0 disables caching.
   std::size_t cache_capacity = 4096;
-  /// Worker threads executing detector batches (the batch itself fans out
-  /// further via FittedModel::scan_many).
+  /// Worker threads executing detector batches. Each batch is scanned on
+  /// the worker that dispatched it (scan_many with one thread).
   std::size_t workers = 1;
-  /// Thread count forwarded to scan_many inside one batch (0 = hardware).
-  std::size_t scan_threads = 1;
   /// Run the lint:: static-analysis pass on every scanned source and attach
   /// the findings to the report (verdicts are unaffected). Toggleable at
   /// runtime via DetectionService::set_lint().

@@ -41,6 +41,7 @@ struct Expr {
   std::uint64_t value = 0;
   Symbol name = util::kNoSymbol;  // Identifier payload
   SrcLoc loc;
+  std::uint32_t height = 1;  // nodes on the longest path down, this one included
   std::span<const Expr* const> operands{};  // layout by kind, as in ast.h
 };
 
@@ -54,6 +55,7 @@ struct CaseItem {
 struct Stmt {
   StmtKind kind = StmtKind::Null;
   SrcLoc loc;
+  std::uint32_t height = 1;  // as Expr::height, counting statements and expressions
 
   const Expr* cond = nullptr;         // If condition / Case subject / For condition
   const Stmt* then_branch = nullptr;  // If

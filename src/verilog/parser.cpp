@@ -205,6 +205,66 @@ class FastParser {
     return false;
   }
 
+  // --- nesting bound (kMaxNestingDepth) ---
+  [[noreturn]] void fail_too_deep() const {
+    fail("nesting deeper than " + std::to_string(kMaxNestingDepth) + " levels");
+  }
+
+  /// One level of parser recursion, held for the duration of a recursive
+  /// production. Nested parentheses, unary operators and statements recurse
+  /// before any node of theirs exists, so this bounds the parser's own stack.
+  class RecursionScope {
+   public:
+    explicit RecursionScope(FastParser& parser) : parser_(parser) {
+      if (parser_.depth_ == kMaxNestingDepth) parser_.fail_too_deep();
+      ++parser_.depth_;
+    }
+    RecursionScope(const RecursionScope&) = delete;
+    RecursionScope& operator=(const RecursionScope&) = delete;
+    ~RecursionScope() { --parser_.depth_; }
+
+   private:
+    FastParser& parser_;
+  };
+
+  /// Sets a finished node's height: one more than its tallest child. Loops
+  /// fold `a+b+c...` and `a[i][j]...` into left-deep trees without
+  /// recursing, so the height, not the recursion depth, is what bounds the
+  /// walkers that recurse over the tree.
+  template <class Node>
+  void set_height(Node& node, std::uint32_t tallest_child) const {
+    if (tallest_child >= kMaxNestingDepth) fail_too_deep();
+    node.height = tallest_child + 1;
+  }
+
+  const fast::Expr* finish(fast::Expr* e) const {
+    std::uint32_t tallest = 0;
+    for (const fast::Expr* op : e->operands) tallest = std::max(tallest, op->height);
+    set_height(*e, tallest);
+    return e;
+  }
+
+  const fast::Stmt* finish(fast::Stmt* s) const {
+    std::uint32_t tallest = 0;
+    const auto grow = [&tallest](const auto* child) {
+      if (child != nullptr) tallest = std::max(tallest, child->height);
+    };
+    grow(s->cond);
+    grow(s->then_branch);
+    grow(s->else_branch);
+    grow(s->lhs);
+    grow(s->rhs);
+    grow(s->for_init);
+    grow(s->for_step);
+    for (const fast::Stmt* child : s->body) grow(child);
+    for (const fast::CaseItem& item : s->case_items) {
+      grow(item.body);
+      for (const fast::Expr* label : item.labels) grow(label);
+    }
+    set_height(*s, tallest);
+    return s;
+  }
+
   // --- constant evaluation (for ranges and parameter values) ---
   std::int64_t* param_value(util::Symbol name) {
     // Linear scan: module parameter lists are tiny, and a flat vector keeps
@@ -287,14 +347,14 @@ class FastParser {
           range->kind = ExprKind::Range;
           range->loc = e->loc;
           range->operands = operands({e, first, lsb});
-          e = range;
+          e = finish(range);
         } else {
           expect_punct(kPRBracket);
           auto* index = arena_.create<fast::Expr>();
           index->kind = ExprKind::Index;
           index->loc = e->loc;
           index->operands = operands({e, first});
-          e = index;
+          e = finish(index);
         }
       }
       return e;
@@ -318,7 +378,7 @@ class FastParser {
         rep->kind = ExprKind::Replicate;
         rep->loc = loc_of(t);
         rep->operands = operands({first, part});
-        return rep;
+        return finish(rep);
       }
       const std::size_t mark = ws_.expr_stack_.size();
       ws_.expr_stack_.push_back(first);
@@ -328,7 +388,7 @@ class FastParser {
       concat->kind = ExprKind::Concat;
       concat->loc = loc_of(t);
       concat->operands = commit(ws_.expr_stack_, mark);
-      return concat;
+      return finish(concat);
     }
     fail("expected expression");
   }
@@ -336,13 +396,14 @@ class FastParser {
   const fast::Expr* parse_unary() {
     const Token& t = peek();
     if (t.is(TokenKind::Punct) && kIsUnaryOp[t.punct]) {
+      const RecursionScope scope(*this);
       const PunctId op = advance().punct;
       auto* e = arena_.create<fast::Expr>();
       e->kind = ExprKind::Unary;
       e->op = op;
       e->loc = loc_of(t);
       e->operands = operands({parse_unary()});
-      return e;
+      return finish(e);
     }
     return parse_primary();
   }
@@ -361,11 +422,12 @@ class FastParser {
       e->op = op;
       e->loc = lhs->loc;
       e->operands = operands({lhs, rhs});
-      lhs = e;
+      lhs = finish(e);
     }
   }
 
   const fast::Expr* parse_expression() {
+    const RecursionScope scope(*this);
     const fast::Expr* cond = parse_binary(1);
     if (accept_punct(kPQuestion)) {
       const fast::Expr* then_e = parse_expression();
@@ -375,7 +437,7 @@ class FastParser {
       e->kind = ExprKind::Ternary;
       e->loc = cond->loc;
       e->operands = operands({cond, then_e, else_e});
-      return e;
+      return finish(e);
     }
     return cond;
   }
@@ -402,6 +464,7 @@ class FastParser {
   }
 
   const fast::Stmt* parse_statement() {
+    const RecursionScope scope(*this);
     const Token& t = peek();
 
     if (t.is_keyword("begin")) {
@@ -416,7 +479,7 @@ class FastParser {
       s->kind = StmtKind::Block;
       s->loc = loc_of(t);
       s->body = commit(ws_.stmt_stack_, mark);
-      return s;
+      return finish(s);
     }
 
     if (t.is_keyword("if")) {
@@ -433,7 +496,7 @@ class FastParser {
       s->cond = cond;
       s->then_branch = then_branch;
       s->else_branch = else_branch;
-      return s;
+      return finish(s);
     }
 
     if (t.is_keyword("case") || t.is_keyword("casez") || t.is_keyword("casex")) {
@@ -464,7 +527,7 @@ class FastParser {
       s->loc = loc_of(t);
       s->cond = subject;
       s->case_items = commit(ws_.case_stack_, item_mark);
-      return s;
+      return finish(s);
     }
 
     if (t.is_keyword("for")) {
@@ -485,7 +548,7 @@ class FastParser {
       s->cond = cond;
       s->for_step = step;
       s->body = commit(ws_.stmt_stack_, mark);  // single element, as in ast.h
-      return s;
+      return finish(s);
     }
 
     if (t.is(TokenKind::SystemName)) {
@@ -525,7 +588,7 @@ class FastParser {
       s->loc = lhs->loc;
       s->lhs = lhs;
       s->rhs = parse_expression();
-      return s;
+      return finish(s);
     }
     if (accept_punct(kPLe)) {
       auto* s = arena_.create<fast::Stmt>();
@@ -533,7 +596,7 @@ class FastParser {
       s->loc = lhs->loc;
       s->lhs = lhs;
       s->rhs = parse_expression();
-      return s;
+      return finish(s);
     }
     fail("expected '=' or '<=' in assignment");
   }
@@ -824,6 +887,7 @@ class FastParser {
   util::Arena& arena_;
   util::SymbolTable& symbols_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // open recursive productions (RecursionScope)
 };
 
 // ---------------------------------------------------------------------------

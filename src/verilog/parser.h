@@ -15,6 +15,7 @@
 // entry points parse_source()/parse_module() are thin wrappers that convert
 // the arena tree into the mutable ast.h form for consumers that rewrite RTL.
 
+#include <cstddef>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -28,6 +29,19 @@
 #include "verilog/token.h"
 
 namespace noodle::verilog {
+
+/// Deepest nesting the parser accepts, as two bounds of the same size.
+/// The parser's recursion counts a level for every expression (so for each
+/// pair of parentheses), every unary operator and every statement. The
+/// tree's height counts the nodes on its longest root-to-leaf path,
+/// statements and expressions alike, so it also covers the left-deep trees
+/// that loops fold from `a+b+c...` and chained bit selects. Past either
+/// bound the parse throws ParseError, so neither the parser nor any
+/// recursive walker of the tree (to_owned, graph lowering, tabular
+/// features, lint, constant evaluation) can exhaust the stack. The tallest
+/// tree over 4096 generated designs is 10 nodes; a 1000-term XOR chain
+/// stays legal.
+inline constexpr std::size_t kMaxNestingDepth = 1024;
 
 class ParseError : public std::runtime_error {
  public:

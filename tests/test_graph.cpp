@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "data/designgen.h"
 #include "verilog/parser.h"
@@ -399,6 +400,18 @@ TEST(SpectralSketch, ConvergenceExitTriggersOnWellSeparatedSpectra) {
   const auto at_50 = g.spectral_sketch(2, 50);
   const auto at_4000 = g.spectral_sketch(2, 4000);
   EXPECT_EQ(at_50, at_4000);
+}
+
+TEST(SpectralSketch, RejectsMoreEigenvaluesThanTheBlockHolds) {
+  // The 4-wide block is the whole subspace; a fifth estimate would have to
+  // come from somewhere else, so the sketch refuses instead of inventing one.
+  NetGraph g;
+  g.add_edge(g.add_node(NodeType::Wire, "a"), g.add_node(NodeType::Wire, "b"));
+  EXPECT_EQ(g.spectral_sketch(4).size(), 4u);
+  EXPECT_THROW(g.spectral_sketch(5), std::invalid_argument);
+  std::vector<double> five(5);
+  AnalysisScratch scratch;
+  EXPECT_THROW(g.spectral_sketch(five, 24, scratch), std::invalid_argument);
 }
 
 TEST(SpectralSketch, ScratchAndConvenienceFormsAgree) {

@@ -357,6 +357,31 @@ TEST_F(ScanServerFixture, InlineRtlScansAndEchoesTheInlineMarker) {
   EXPECT_EQ(line->substr(line->rfind('\t') + 1), net::protocol::kInlineEcho);
 }
 
+TEST_F(ScanServerFixture, OverDeepInlineRtlIsAParseErrorAndTheConnectionServesOn) {
+  // A 200k-term sum fits one request line but folds into a left-deep tree
+  // far past verilog::kMaxNestingDepth; before the bound it overflowed the
+  // stack of the featurize walkers and took the daemon down.
+  serve::DetectionService service(registry_with_a(), "m");
+  ServerHarness harness(service, net::ServerConfig{});
+
+  std::string sum = "a";
+  for (int i = 1; i < 200000; ++i) sum += "+a";
+  const std::string hostile =
+      "~inline module t(input a, output y); assign y = " + sum + "; endmodule";
+  ASSERT_LT(hostile.size(), net::kMaxLineBytes);
+
+  LineClient client;
+  ASSERT_TRUE(client.connect(harness.port()));
+  ASSERT_TRUE(client.send_line(hostile));
+  EXPECT_EQ(client.read_line(),
+            net::protocol::status_line("parse-error", "m", net::protocol::kInlineEcho));
+  ASSERT_TRUE(client.send_line(files_->front()));
+  const auto line = client.read_line();
+  ASSERT_TRUE(line.has_value());
+  EXPECT_EQ(line->rfind(prefix_a_->front(), 0), 0u) << *line;
+  EXPECT_EQ(harness.server.stats().protocol_errors, 0u);
+}
+
 TEST_F(ScanServerFixture, UnreadableAndMalformedRequestsGetStatusLines) {
   serve::DetectionService service(registry_with_a(), "m");
   ServerHarness harness(service, net::ServerConfig{});

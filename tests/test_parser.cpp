@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "feat/featurize.h"
+#include "lint/lint.h"
 #include "verilog/printer.h"
 
 namespace noodle::verilog {
@@ -267,6 +272,120 @@ TEST(Parser, ErrorMessagesCarryLocation) {
   } catch (const ParseError& e) {
     EXPECT_NE(std::string(e.what()).find("line"), std::string::npos);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Nesting bound (kMaxNestingDepth)
+// ---------------------------------------------------------------------------
+
+std::string repeat(const std::string& piece, std::size_t times) {
+  std::string out;
+  out.reserve(piece.size() * times);
+  for (std::size_t i = 0; i < times; ++i) out += piece;
+  return out;
+}
+
+std::string assign_module(const std::string& expr) {
+  return "module m(input a, output y); assign y = " + expr + "; endmodule";
+}
+
+std::string always_module(const std::string& body) {
+  return "module m(input a, output reg y); always @(*) " + body + " endmodule";
+}
+
+/// One single-line hostile shape, sized by `n`. `hostile` is a size that
+/// overflowed the stack before the bound existed; `at_limit` is the size
+/// whose deepest nesting is exactly kMaxNestingDepth levels.
+struct NestingShape {
+  const char* name;
+  std::string (*build)(std::size_t n);
+  std::size_t hostile;
+  std::size_t at_limit;
+};
+
+constexpr std::size_t kLimit = kMaxNestingDepth;
+
+// Level accounting. Parser recursion: the assign's right-hand side is
+// level 1, and each parenthesis or unary operator adds one. Tree height:
+// a leaf is 1, and each unary operator or folded `+a` adds one. In the
+// always forms each statement adds one to both, and the innermost `y = a;`
+// adds its statement and its right-hand side below the last if/begin.
+const NestingShape kNestingShapes[] = {
+    {"parens",
+     [](std::size_t n) { return assign_module(repeat("(", n) + "a" + repeat(")", n)); },
+     60000, kLimit - 1},
+    {"unary",
+     [](std::size_t n) { return assign_module(repeat("~", n) + "a"); }, 900000,
+     kLimit - 1},
+    {"if",
+     [](std::size_t n) { return always_module(repeat("if (a) ", n) + "y = a;"); },
+     60000, kLimit - 2},
+    {"begin",
+     [](std::size_t n) {
+       return always_module(repeat("begin ", n) + "y = a;" + repeat(" end", n));
+     },
+     60000, kLimit - 2},
+    {"sum",  // n terms: a+a+...+a, a left-deep tree built by a loop
+     [](std::size_t n) { return assign_module("a" + repeat("+a", n - 1)); }, 200000,
+     kLimit},
+    // n nested groups of 342 terms, each the first term of the group around
+    // it, so their left spines stack: height 1 + 341n.
+    {"paren_chain",
+     [](std::size_t n) {
+       return assign_module(repeat("(", n) + "a" + repeat(repeat("+a", 341) + ")", n));
+     },
+     600, 3},
+};
+
+/// Runs every recursive consumer of a parsed tree on `source`: the
+/// owning-AST conversion, featurization (graph lowering + tabular walk),
+/// and lint.
+void expect_every_walker_survives(const std::string& source) {
+  EXPECT_NO_THROW(parse_module(source));
+  feat::FeaturizeWorkspace ws;
+  std::vector<double> graph, tabular;
+  ASSERT_NO_THROW(ws.featurize(source, graph, tabular));
+  ASSERT_NE(ws.last_module(), nullptr);
+  lint::LintWorkspace lint_ws;
+  EXPECT_NO_THROW(lint_ws.run(*ws.last_module(), ws.last_graph(),
+                              ws.last_graph().symbols()));
+}
+
+class HostileNesting : public ::testing::TestWithParam<NestingShape> {};
+
+TEST_P(HostileNesting, HostileLineThrowsParseError) {
+  const std::string source = GetParam().build(GetParam().hostile);
+  ASSERT_LT(source.size(), std::size_t{1} << 20);  // fits one request line
+  ParserWorkspace ws;
+  EXPECT_THROW(ws.parse(source), ParseError);
+  EXPECT_THROW(parse_source(source), ParseError);
+  // The workspace is reusable after the rejection.
+  EXPECT_NO_THROW(ws.parse_single("module ok; endmodule"));
+}
+
+TEST_P(HostileNesting, TreeAtTheLimitParsesAndOneMoreLevelThrows) {
+  expect_every_walker_survives(GetParam().build(GetParam().at_limit));
+  EXPECT_THROW(parse_module(GetParam().build(GetParam().at_limit + 1)), ParseError);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, HostileNesting, ::testing::ValuesIn(kNestingShapes),
+                         [](const auto& info) { return std::string(info.param.name); });
+
+TEST(NestingBound, StatementsAndExpressionsShareOneHeight) {
+  // 511 blocks, the assignment, and a 512-term sum below it: 1024 nodes
+  // from the outer block to the innermost `a`.
+  const auto source = [](std::size_t terms) {
+    return always_module(repeat("begin ", 511) + "y = a" + repeat("+a", terms - 1) + ";" +
+                         repeat(" end", 511));
+  };
+  expect_every_walker_survives(source(512));
+  EXPECT_THROW(parse_module(source(513)), ParseError);
+}
+
+TEST(NestingBound, LongXorChainInsideStatementsStaysLegal) {
+  const std::string source =
+      always_module("begin if (a) begin y = a" + repeat(" ^ a", 999) + "; end end");
+  EXPECT_NO_THROW(parse_module(source));
 }
 
 }  // namespace

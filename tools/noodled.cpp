@@ -47,10 +47,6 @@
 //   --int8            save fitted snapshots with per-buffer-scaled int8
 //                     weights (~8x smaller; verdict-equivalent, not
 //                     bit-identical — see DESIGN.md §9)
-//   --fma             opt into the AVX2+FMA GEMM kernel (fastest, but fused
-//                     multiply-adds change low-order bits; verdicts stay
-//                     equivalent). Default dispatch picks the fastest
-//                     bit-identical kernel; NOODLE_GEMM_KERNEL overrides.
 //   --quick           small training config (CI smoke / demos; seconds not
 //                     minutes)
 //   --batch N         max requests coalesced per detector batch (default 16)
@@ -141,7 +137,6 @@
 #include "net/protocol.h"
 #include "net/server.h"
 #include "net/socket.h"
-#include "nn/kernels.h"
 #include "serve/registry.h"
 #include "serve/service.h"
 #include "serve/snapshot.h"
@@ -159,7 +154,6 @@ struct Options {
   bool refit = false;
   bool f32 = false;
   bool int8 = false;
-  bool fma = false;
   bool quick = false;
   bool stats = false;
   bool lint = false;
@@ -189,8 +183,7 @@ struct Options {
   if (!error.empty()) std::cerr << "noodled: " << error << "\n";
   std::cerr << "usage: " << argv0
             << " [--snapshot FILE] [--model NAME=PATH ...] [--refit] [--f32]"
-               " [--int8] [--fma]"
-               " [--quick] [--batch N] [--cache N] [--workers N] [--lint]"
+               " [--int8] [--quick] [--batch N] [--cache N] [--workers N] [--lint]"
                " [--trace] [--metrics-file PATH] [--metrics-interval N]"
                " [--disk-cache DIR] [--disk-cache-bytes N] [--store DIR]"
                " [--store-interval N] [--seed N] [--stats] [--demo N]"
@@ -239,8 +232,6 @@ Options parse_options(int argc, char** argv) {
         options.f32 = true;
       } else if (arg == "--int8") {
         options.int8 = true;
-      } else if (arg == "--fma") {
-        options.fma = true;
       } else if (arg == "--quick") {
         options.quick = true;
       } else if (arg == "--stats") {
@@ -812,15 +803,6 @@ int run_socket_mode(const Options& options, serve::DetectionService& service,
 
 int main(int argc, char** argv) {
   const Options options = parse_options(argc, argv);
-
-  if (options.fma) {
-    try {
-      nn::set_gemm_kernel(nn::GemmKernel::Avx2Fma);
-      std::cerr << "noodled: gemm kernel avx2fma (opt-in; verdict-equivalent)\n";
-    } catch (const std::invalid_argument& e) {
-      std::cerr << "noodled: --fma ignored: " << e.what() << "\n";
-    }
-  }
 
   if (options.demo > 0) {
     const std::filesystem::path dir = "noodled_demo";
