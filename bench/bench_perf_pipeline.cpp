@@ -485,26 +485,19 @@ void BM_SnapshotSaveLoad(benchmark::State& state) {
 BENCHMARK(BM_SnapshotSaveLoad)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// P6 — multi-model registry: resolve fast paths and atomic hot reload
+// P6 — multi-model registry: resolve and atomic hot reload
 // ---------------------------------------------------------------------------
 
 void BM_RegistryResolve(benchmark::State& state) {
-  const bool via_view = state.range(0) != 0;
   serve::ModelRegistry registry;
   registry.publish("prod", fitted_detector().fitted_model());
   registry.publish("canary", fitted_detector().fitted_model());
-  const serve::ModelRegistry::LatestView view = registry.latest_view("prod");
   for (auto _ : state) {
-    if (via_view) {
-      benchmark::DoNotOptimize(view.get());  // the scan fast path: one atomic load
-    } else {
-      benchmark::DoNotOptimize(registry.resolve("prod"));  // name lookup + atomic load
-    }
+    benchmark::DoNotOptimize(registry.resolve("prod"));  // name lookup + atomic load
   }
-  state.SetLabel(via_view ? "latest_view" : "resolve_by_name");
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_RegistryResolve)->Arg(0)->Arg(1);
+BENCHMARK(BM_RegistryResolve);
 
 void BM_HotReload(benchmark::State& state) {
   // One reload = snapshot read + full validation + arm rebuild + atomic
@@ -645,7 +638,7 @@ void BM_MetricsRecord(benchmark::State& state) {
 BENCHMARK(BM_MetricsRecord);
 
 // The read side: merging every shard of a populated histogram into a
-// Snapshot, as render_prometheus()/metrics_snapshot() do per scrape. Scrape
+// Snapshot, as render_prometheus() and snapshot() do per scrape. Scrape
 // cost scales with (families x buckets), not with traffic.
 
 void BM_HistogramMerge(benchmark::State& state) {

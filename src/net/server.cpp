@@ -23,7 +23,32 @@ constexpr std::size_t kCompactThreshold = 64 * 1024;
 
 ScanServer::ScanServer(EventLoop& loop, serve::DetectionService& service,
                        ServerConfig config)
-    : loop_(loop), service_(service), config_(std::move(config)) {}
+    : loop_(loop),
+      service_(service),
+      config_(std::move(config)),
+      metrics_(register_metrics(service.metrics())) {}
+
+ScanServer::Metrics ScanServer::register_metrics(obs::MetricsRegistry& registry) {
+  return Metrics{
+      registry.counter("noodle_net_accepted_total", "TCP connections accepted."),
+      registry.counter("noodle_net_dropped_total",
+                       "Connections closed by the server (over-cap, watchdog, error)."),
+      registry.counter("noodle_net_requests_total", "Request lines received over TCP."),
+      registry.counter("noodle_net_responses_total", "Response lines queued for write."),
+      registry.counter("noodle_net_shed_total",
+                       "Requests answered BUSY by admission control."),
+      registry.counter("noodle_net_timeouts_total",
+                       "Requests answered TIMEOUT past a deadline."),
+      registry.counter("noodle_net_protocol_errors_total",
+                       "Malformed request lines and oversize unframed reads."),
+      registry.counter("noodle_net_bytes_rx_total", "Bytes read from clients."),
+      registry.counter("noodle_net_bytes_tx_total", "Bytes written to clients."),
+      registry.gauge("noodle_net_connections", "Open TCP connections."),
+      registry.gauge("noodle_net_inflight", "Socket requests in flight with the service."),
+      registry.gauge("noodle_net_wbuf_bytes",
+                     "Bytes buffered for clients across all connections."),
+  };
+}
 
 ScanServer::~ScanServer() {
   // After drain() every submit_async completion has already run (the
@@ -64,9 +89,8 @@ void ScanServer::on_accept() {
     if (connections_.size() >= config_.max_connections) {
       // Immediate close (not "leave it in the backlog"): the client gets
       // a crisp RST/EOF instead of a silent hang.
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++counters_.accepted;
-      ++counters_.dropped;
+      metrics_.accepted.inc();
+      metrics_.dropped.inc();
       continue;
     }
     auto conn = std::make_unique<Connection>();
@@ -77,11 +101,8 @@ void ScanServer::on_accept() {
     connections_.emplace(id, std::move(conn));
     loop_.add(raw_fd, EPOLLIN, [this, id](std::uint32_t events) { on_io(id, events); });
     arm_idle_timer(*connections_[id]);
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++counters_.accepted;
-      counters_.connections = connections_.size();
-    }
+    metrics_.accepted.inc();
+    metrics_.connections.add(1);
   }
 }
 
@@ -126,10 +147,7 @@ bool ScanServer::handle_read(std::uint64_t id) {
     }
     return true;
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    counters_.bytes_rx += static_cast<std::uint64_t>(n);
-  }
+  metrics_.bytes_rx.inc(static_cast<std::uint64_t>(n));
   conn->rbuf.append(chunk, static_cast<std::size_t>(n));
   arm_idle_timer(*conn);
 
@@ -137,10 +155,7 @@ bool ScanServer::handle_read(std::uint64_t id) {
       conn->rbuf.find('\n') == std::string::npos) {
     // A "line" the size of the cap with no newline is not a request, it is
     // a memory exhaustion attempt (or a framing bug). Either way: out.
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++counters_.protocol_errors;
-    }
+    metrics_.protocol_errors.inc();
     close_connection(id, /*server_initiated=*/true);
     return false;
   }
@@ -183,10 +198,7 @@ void ScanServer::handle_line(std::uint64_t id, std::string line) {
     return;
   }
 
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++counters_.requests;
-  }
+  metrics_.requests.inc();
   const protocol::RequestLine request = protocol::parse_request_line(
       line, [this](const std::string& name) {
         return static_cast<bool>(
@@ -203,15 +215,14 @@ void ScanServer::handle_line(std::uint64_t id, std::string line) {
     slot->echo = line;  // nothing parsed; echo what we got
     slot->ready = true;
     slot->text = protocol::status_line("bad-request", model, slot->echo) + "\n";
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++counters_.protocol_errors;
-  } else if (draining_ || inflight_ >= config_.max_inflight) {
+    metrics_.protocol_errors.inc();
+  } else if (draining_ || metrics_.inflight.value() >=
+                              static_cast<std::int64_t>(config_.max_inflight)) {
     // Admission control: overload (or drain) answers instantly and
     // explicitly. The client can back off; nothing queues unboundedly.
     slot->ready = true;
     slot->text = protocol::status_line("BUSY", model, slot->echo) + "\n";
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++counters_.shed;
+    metrics_.shed.inc();
   } else {
     std::string source;
     bool read_ok = true;
@@ -248,11 +259,7 @@ void ScanServer::submit_scan(Connection& conn, const std::string& spec,
                              std::chrono::milliseconds deadline) {
   const std::uint64_t id = conn.id;
   slot->counted = true;
-  ++inflight_;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    counters_.inflight = inflight_;
-  }
+  metrics_.inflight.add(1);
   if (deadline.count() > 0) {
     // The net-side guarantee: the CLIENT sees TIMEOUT at the deadline even
     // if the dispatcher is wedged under a pathological batch. Normally the
@@ -285,9 +292,7 @@ void ScanServer::settle_slot(Slot& slot) {
   slot.completed = true;
   if (slot.counted) {
     slot.counted = false;
-    --inflight_;
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    counters_.inflight = inflight_;
+    metrics_.inflight.sub(1);
   }
   if (slot.deadline_timer != 0) {
     loop_.cancel_timer(slot.deadline_timer);
@@ -305,8 +310,7 @@ void ScanServer::complete_request(std::uint64_t id, const std::shared_ptr<Slot>&
     text = protocol::verdict_line(report, slot->echo, trace_on_);
   } catch (const serve::DeadlineError&) {
     text = protocol::status_line("TIMEOUT", slot->model, slot->echo);
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++counters_.timeouts;
+    metrics_.timeouts.inc();
   } catch (const serve::RegistryError&) {
     text = protocol::status_line("no-model", slot->model, slot->echo);
   } catch (const std::exception&) {
@@ -325,10 +329,7 @@ void ScanServer::deadline_fired(std::uint64_t id, const std::shared_ptr<Slot>& s
   settle_slot(*slot);
   slot->text = protocol::status_line("TIMEOUT", slot->model, slot->echo) + "\n";
   slot->ready = true;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++counters_.timeouts;
-  }
+  metrics_.timeouts.inc();
   Connection* conn = find(id);
   if (conn == nullptr) return;
   flush_connection(*conn);
@@ -337,15 +338,12 @@ void ScanServer::deadline_fired(std::uint64_t id, const std::shared_ptr<Slot>& s
 void ScanServer::flush_connection(Connection& conn) {
   // Responses stream strictly in request order: drain the ready prefix of
   // the pipeline into the write buffer, then push bytes.
-  std::uint64_t flushed = 0;
   while (!conn.pending.empty() && conn.pending.front()->ready) {
-    conn.wbuf += conn.pending.front()->text;
+    const std::string& text = conn.pending.front()->text;
+    conn.wbuf += text;
+    metrics_.wbuf_bytes.add(static_cast<std::int64_t>(text.size()));
+    metrics_.responses.inc();
     conn.pending.pop_front();
-    ++flushed;
-  }
-  if (flushed > 0) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    counters_.responses += flushed;
   }
   if (!write_some(conn)) return;
 
@@ -367,8 +365,8 @@ bool ScanServer::write_some(Connection& conn) {
     if (n > 0) {
       conn.wbuf_off += static_cast<std::size_t>(n);
       progressed = true;
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      counters_.bytes_tx += static_cast<std::uint64_t>(n);
+      metrics_.bytes_tx.inc(static_cast<std::uint64_t>(n));
+      metrics_.wbuf_bytes.sub(n);
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
@@ -475,12 +473,10 @@ void ScanServer::close_connection(std::uint64_t id, bool server_initiated) {
     if (!slot->completed) settle_slot(*slot);
   }
   loop_.remove(conn.fd.get());
+  metrics_.wbuf_bytes.sub(static_cast<std::int64_t>(conn.buffered_bytes()));
   connections_.erase(it);
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    counters_.connections = connections_.size();
-    if (server_initiated) ++counters_.dropped;
-  }
+  metrics_.connections.sub(1);
+  if (server_initiated) metrics_.dropped.inc();
   check_drained();
 }
 
@@ -527,47 +523,17 @@ void ScanServer::check_drained() {
 }
 
 ServerStats ScanServer::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return counters_;
-}
-
-void ScanServer::sync_metrics() {
-  // One snapshot feeds every sample (the PR 7 never-disagree rule, applied
-  // to the transport): a `!stats` net line and a scrape rendered from this
-  // sync can only differ by honest time, not by torn reads.
-  const ServerStats snapshot = stats();
-  obs::MetricsRegistry& registry = service_.metrics();
-  const auto counter = [&registry](const char* name, const char* help,
-                                   std::uint64_t value) {
-    registry.counter(name, help).set(value);
-  };
-  counter("noodle_net_accepted_total", "TCP connections accepted.", snapshot.accepted);
-  counter("noodle_net_dropped_total",
-          "Connections closed by the server (over-cap, watchdog, error).",
-          snapshot.dropped);
-  counter("noodle_net_requests_total", "Request lines received over TCP.",
-          snapshot.requests);
-  counter("noodle_net_responses_total", "Response lines queued for write.",
-          snapshot.responses);
-  counter("noodle_net_shed_total", "Requests answered BUSY by admission control.",
-          snapshot.shed);
-  counter("noodle_net_timeouts_total", "Requests answered TIMEOUT past a deadline.",
-          snapshot.timeouts);
-  counter("noodle_net_protocol_errors_total",
-          "Malformed request lines and oversize unframed reads.",
-          snapshot.protocol_errors);
-  counter("noodle_net_bytes_rx_total", "Bytes read from clients.", snapshot.bytes_rx);
-  counter("noodle_net_bytes_tx_total", "Bytes written to clients.", snapshot.bytes_tx);
-  registry.gauge("noodle_net_connections", "Open TCP connections.")
-      .set(static_cast<std::int64_t>(snapshot.connections));
-  registry.gauge("noodle_net_inflight", "Socket requests in flight with the service.")
-      .set(static_cast<std::int64_t>(snapshot.inflight));
-  std::size_t wbuf_bytes = 0;
-  for (const auto& [id, conn] : connections_) wbuf_bytes += conn->buffered_bytes();
-  registry
-      .gauge("noodle_net_wbuf_bytes",
-             "Bytes buffered for clients across all connections.")
-      .set(static_cast<std::int64_t>(wbuf_bytes));
+  return {metrics_.accepted.value(),
+          metrics_.dropped.value(),
+          metrics_.requests.value(),
+          metrics_.responses.value(),
+          metrics_.shed.value(),
+          metrics_.timeouts.value(),
+          metrics_.protocol_errors.value(),
+          metrics_.bytes_rx.value(),
+          metrics_.bytes_tx.value(),
+          static_cast<std::uint64_t>(metrics_.connections.value()),
+          static_cast<std::uint64_t>(metrics_.inflight.value())};
 }
 
 }  // namespace noodle::net

@@ -31,8 +31,13 @@
 //     force-closes laggards after drain_grace, then fires on_drained —
 //     noodled flushes the disk cache and exits 0.
 //
+// Counting: the noodle_net_* counters and gauges are handles into the
+// service's obs::MetricsRegistry, registered at construction and updated
+// in place on the loop thread; stats() reads those same cells. Servers on
+// one service therefore share one set of cells.
+//
 // Threading: everything here runs on the EventLoop thread except stats()
-// (mutex-guarded, callable anywhere). Destroy the server only after the
+// (atomic loads, callable anywhere). Destroy the server only after the
 // loop has stopped; the destructor drains the service so no completion
 // callback can outlive it.
 
@@ -41,11 +46,11 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "net/event_loop.h"
 #include "net/socket.h"
+#include "obs/metrics.h"
 #include "serve/service.h"
 
 namespace noodle::net {
@@ -81,7 +86,7 @@ struct ServerConfig {
   std::chrono::milliseconds drain_grace{5000};
 };
 
-/// One consistent counter snapshot (every field read under one lock).
+/// A read of the transport's metrics cells (each field one atomic load).
 struct ServerStats {
   std::uint64_t accepted = 0;        ///< connections accepted
   std::uint64_t dropped = 0;         ///< connections closed BY the server
@@ -134,12 +139,8 @@ class ScanServer {
     on_drained_ = std::move(callback);
   }
 
-  /// Thread-safe consistent snapshot.
+  /// Thread-safe read of the noodle_net_* cells.
   ServerStats stats() const;
-  /// Mirrors stats() into the service's MetricsRegistry as noodle_net_*
-  /// samples — one snapshot feeds every sample, so an exposition can never
-  /// tear. Loop thread only (reads per-connection buffers for the gauge).
-  void sync_metrics();
 
  private:
   /// One request (or control response) slot in a connection's pipeline.
@@ -154,7 +155,7 @@ class ScanServer {
     bool ready = false;
     bool completed = false;  ///< in-flight accounting settled (first of
                              ///  service completion / deadline / close)
-    bool counted = false;    ///< true iff this slot holds an inflight_ unit
+    bool counted = false;    ///< true iff this slot holds an inflight unit
     EventLoop::TimerId deadline_timer = 0;
   };
 
@@ -198,23 +199,37 @@ class ScanServer {
   void check_drained();
   Connection* find(std::uint64_t id);
 
+  /// The noodle_net_* cells in the service's metrics registry.
+  struct Metrics {
+    obs::Counter& accepted;
+    obs::Counter& dropped;
+    obs::Counter& requests;
+    obs::Counter& responses;
+    obs::Counter& shed;
+    obs::Counter& timeouts;
+    obs::Counter& protocol_errors;
+    obs::Counter& bytes_rx;
+    obs::Counter& bytes_tx;
+    obs::Gauge& connections;
+    obs::Gauge& inflight;    ///< also the admission count (max_inflight)
+    obs::Gauge& wbuf_bytes;  ///< buffered bytes across all connections
+  };
+  static Metrics register_metrics(obs::MetricsRegistry& registry);
+
   EventLoop& loop_;
   serve::DetectionService& service_;
   ServerConfig config_;
+  Metrics metrics_;
   Fd listener_;
   std::uint16_t port_ = 0;
   std::uint64_t next_conn_id_ = 1;
   std::map<std::uint64_t, std::unique_ptr<Connection>> connections_;
-  std::size_t inflight_ = 0;
   bool trace_on_ = false;
   bool draining_ = false;
   bool drained_notified_ = false;
   EventLoop::TimerId drain_grace_timer_ = 0;
   ControlHandler control_;
   std::function<void()> on_drained_;
-
-  mutable std::mutex stats_mu_;
-  ServerStats counters_;
 };
 
 }  // namespace noodle::net

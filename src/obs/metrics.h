@@ -1,9 +1,10 @@
 #pragma once
 // obs::MetricsRegistry — named counters, gauges, and latency histograms
-// with label support and Prometheus text exposition. This is the standard
-// instrumentation surface for the serving stack: DetectionService owns one,
-// `noodled !metrics` / `--metrics-file` render it, and every later
-// transport/sharding PR exports through it unchanged.
+// with label support and Prometheus text exposition. This is the one
+// counter store of the serving stack: DetectionService owns one, it and
+// net::ScanServer count into handles registered here, their stats() views
+// read those same cells, and `noodled !metrics` / `--metrics-file` render
+// them.
 //
 // Usage contract (mirrors the repo's workspace discipline):
 //
@@ -36,13 +37,23 @@
 
 namespace noodle::obs {
 
-/// Monotone event counter. set() exists for mirroring an external monotone
-/// source (e.g. StatsBook cells) — it must never be handed a smaller value.
+/// Monotone event counter.
+///
+/// inc() is a release RMW and value() an acquire load. That order is what
+/// keeps DetectionService::stats() untorn: every request is counted before
+/// its outcome (a scan, a cache hit, a parse failure), so a reader that
+/// loads the outcome counters first and the request counter last can never
+/// see more outcomes than requests.
+///
+/// set() publishes a monotone source owned elsewhere (the disk tier's
+/// DiskCacheStats, the model registry's ReloadStats) when the exposition is
+/// rendered. It is never used on a counter that anything increments, and
+/// it must never be handed a smaller value.
 class Counter {
  public:
-  void inc(std::uint64_t n = 1) noexcept { value_.fetch_add(n, std::memory_order_relaxed); }
-  void set(std::uint64_t v) noexcept { value_.store(v, std::memory_order_relaxed); }
-  std::uint64_t value() const noexcept { return value_.load(std::memory_order_relaxed); }
+  void inc(std::uint64_t n = 1) noexcept { value_.fetch_add(n, std::memory_order_release); }
+  void set(std::uint64_t v) noexcept { value_.store(v, std::memory_order_release); }
+  std::uint64_t value() const noexcept { return value_.load(std::memory_order_acquire); }
 
  private:
   std::atomic<std::uint64_t> value_{0};
@@ -54,6 +65,12 @@ class Gauge {
   void set(std::int64_t v) noexcept { value_.store(v, std::memory_order_relaxed); }
   void add(std::int64_t n) noexcept { value_.fetch_add(n, std::memory_order_relaxed); }
   void sub(std::int64_t n) noexcept { value_.fetch_sub(n, std::memory_order_relaxed); }
+  /// High-water mark: raises the value to `v` if it is below it.
+  void raise(std::int64_t v) noexcept {
+    std::int64_t seen = value_.load(std::memory_order_relaxed);
+    while (seen < v && !value_.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
+    }
+  }
   std::int64_t value() const noexcept { return value_.load(std::memory_order_relaxed); }
 
   /// The raw cell, for embedders that update a gauge from code that must

@@ -62,10 +62,6 @@ std::string LoadedModel::label() const {
 // ModelRegistry
 // ---------------------------------------------------------------------------
 
-ModelHandle ModelRegistry::LatestView::get() const noexcept {
-  return entry_ ? entry_->latest.load() : nullptr;
-}
-
 std::shared_ptr<ModelRegistry::NameEntry> ModelRegistry::find_entry(
     const std::string& name) const {
   std::shared_lock lock(names_mu_);
@@ -103,7 +99,7 @@ ModelHandle ModelRegistry::publish_timed(const std::string& name,
       std::move(model), std::move(source));
   entry->versions.emplace(version, loaded);
   // The swap: one atomic store repoints the epoch slot. Readers on the fast
-  // path (LatestView::get / resolve-latest) see the previous generation or
+  // path (try_resolve of the latest) see the previous generation or
   // this one — no torn state, no blocking.
   entry->latest.store(loaded);
   record_event(ReloadEvent{std::chrono::system_clock::now(), name, loaded->version(),
@@ -180,14 +176,6 @@ ModelHandle ModelRegistry::resolve(const ModelSpec& spec) const {
 
 ModelHandle ModelRegistry::resolve(std::string_view spec) const {
   return resolve(parse_model_spec(spec));
-}
-
-ModelRegistry::LatestView ModelRegistry::latest_view(const std::string& name) const {
-  std::shared_ptr<NameEntry> entry = find_entry(name);
-  if (!entry) {
-    throw RegistryError("registry: no model '" + name + "'");
-  }
-  return LatestView(std::move(entry));
 }
 
 bool ModelRegistry::retire(const std::string& name, std::uint64_t version) {

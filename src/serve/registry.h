@@ -18,10 +18,7 @@
 //     it alive and bit-stable regardless of later swaps or retires, so an
 //     in-flight scan_many batch is always answered by exactly one
 //     generation (DetectionService resolves once per batch group — the
-//     cost is amortized over the batch and is negligible next to a scan);
-//   * embedders that resolve per request (e.g. a future socket front end)
-//     can pin a LatestView instead: get() is a single atomic load on the
-//     name's epoch slot, never touching a registry mutex.
+//     cost is amortized over the batch and is negligible next to a scan).
 
 #include <atomic>
 #include <chrono>
@@ -117,28 +114,7 @@ struct ReloadStats {
 };
 
 class ModelRegistry {
- private:
-  struct NameEntry;
-
  public:
-  /// Pinned view of one name's atomically-published latest generation.
-  /// get() is a single atomic shared_ptr load — it never touches registry
-  /// locks, so publish/reload_from/retire can never block a scan path that
-  /// resolves through a view. Returns nullptr once every version of the
-  /// name has been retired. Valid for the registry's lifetime.
-  class LatestView {
-   public:
-    LatestView() = default;
-    ModelHandle get() const noexcept;
-    explicit operator bool() const noexcept { return entry_ != nullptr; }
-
-   private:
-    friend class ModelRegistry;
-    explicit LatestView(std::shared_ptr<const NameEntry> entry)
-        : entry_(std::move(entry)) {}
-    std::shared_ptr<const NameEntry> entry_;
-  };
-
   ModelRegistry() = default;
   ModelRegistry(const ModelRegistry&) = delete;
   ModelRegistry& operator=(const ModelRegistry&) = delete;
@@ -162,10 +138,6 @@ class ModelRegistry {
   ModelHandle resolve(std::string_view spec) const;
   /// Like resolve(), but returns nullptr instead of throwing.
   ModelHandle try_resolve(const ModelSpec& spec) const noexcept;
-
-  /// The wait-free per-name fast path (see LatestView). Throws
-  /// RegistryError if the name was never published.
-  LatestView latest_view(const std::string& name) const;
 
   /// Removes one version (version == 0 removes the current latest). If the
   /// removed version was the latest, the slot repoints to the highest

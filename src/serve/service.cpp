@@ -12,96 +12,6 @@
 namespace noodle::serve {
 
 // ---------------------------------------------------------------------------
-// StatsBook
-// ---------------------------------------------------------------------------
-
-template <typename Fn>
-void StatsBook::update(const std::string& model, Fn&& fn) {
-  // One mutex covers the aggregate and every per-model cell, so any
-  // snapshot() taken between updates sees a mutually consistent state.
-  std::lock_guard<std::mutex> lock(mu_);
-  fn(total_);
-  auto it = per_model_.find(model);
-  if (it == per_model_.end()) {
-    // Bound the map against attacker-chosen names: overflow names share
-    // one cell, and a given name maps to the same cell for its lifetime
-    // (the map only grows), so per-cell invariants survive.
-    it = per_model_.size() < kMaxTrackedModels
-             ? per_model_.try_emplace(model).first
-             : per_model_.try_emplace(kOverflowCell).first;
-  }
-  fn(it->second);
-}
-
-void StatsBook::record_request(const std::string& model) {
-  update(model, [](ServiceStats& s) { ++s.requests; });
-}
-
-void StatsBook::record_cache_hit(const std::string& model) {
-  update(model, [](ServiceStats& s) { ++s.cache_hits; });
-}
-
-void StatsBook::record_disk_hit(const std::string& model) {
-  update(model, [](ServiceStats& s) { ++s.disk_hits; });
-}
-
-void StatsBook::record_model_miss(const std::string& model) {
-  update(model, [](ServiceStats& s) { ++s.model_misses; });
-}
-
-void StatsBook::record_deadline_timeout(const std::string& model) {
-  update(model, [](ServiceStats& s) { ++s.deadline_timeouts; });
-}
-
-void StatsBook::record_batch(const std::string& model, std::uint64_t scans,
-                             std::uint64_t parse_failures, std::uint64_t batch_size,
-                             std::uint64_t scan_micros) {
-  update(model, [&](ServiceStats& s) {
-    ++s.batches;
-    s.scans += scans;
-    s.parse_failures += parse_failures;
-    s.scan_micros += scan_micros;
-    s.max_batch_size = std::max(s.max_batch_size, batch_size);
-  });
-}
-
-void StatsBook::record_lint(const std::string& model, std::uint64_t runs,
-                            const std::array<std::uint64_t, lint::kRuleCount>& by_rule) {
-  update(model, [&](ServiceStats& s) {
-    s.lint_runs += runs;
-    for (std::size_t r = 0; r < lint::kRuleCount; ++r) {
-      s.lint_by_rule[r] += by_rule[r];
-      s.lint_findings += by_rule[r];
-    }
-  });
-}
-
-ServiceStats StatsBook::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_;
-}
-
-ServiceStats StatsBook::snapshot(const std::string& model) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = per_model_.find(model);
-  return it == per_model_.end() ? ServiceStats{} : it->second;
-}
-
-std::map<std::string, ServiceStats> StatsBook::by_model() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return per_model_;
-}
-
-std::pair<ServiceStats, std::map<std::string, ServiceStats>> StatsBook::snapshot_all()
-    const {
-  // One lock acquisition: the aggregate equals the sum of the cells in the
-  // returned pair (every update() touches total_ and exactly one cell under
-  // this mutex), which the Prometheus mirror relies on.
-  std::lock_guard<std::mutex> lock(mu_);
-  return {total_, per_model_};
-}
-
-// ---------------------------------------------------------------------------
 // DetectionService
 // ---------------------------------------------------------------------------
 
@@ -141,6 +51,29 @@ std::shared_ptr<ModelRegistry> single_model_registry(const std::filesystem::path
 }
 
 }  // namespace
+
+void DetectionService::ModelCounters::add_to(ServiceStats& s) const {
+  // Outcomes first, requests last. Each request is counted before its
+  // outcome, and obs::Counter loads acquire what inc() released, so the
+  // requests read below covers every outcome read above.
+  s.cache_hits += cache_hits->value();
+  s.disk_hits += disk_hits->value();
+  s.scans += scans->value();
+  s.parse_failures += parse_failures->value();
+  s.model_misses += model_misses->value();
+  s.deadline_timeouts += deadline_timeouts->value();
+  s.batches += batches->value();
+  s.max_batch_size =
+      std::max(s.max_batch_size, static_cast<std::uint64_t>(max_batch_size->value()));
+  s.scan_micros += scan_micros->value();
+  s.lint_runs += lint_runs->value();
+  for (std::size_t r = 0; r < lint::kRuleCount; ++r) {
+    const std::uint64_t findings = lint_by_rule[r]->value();
+    s.lint_by_rule[r] += findings;
+    s.lint_findings += findings;
+  }
+  s.requests += requests->value();
+}
 
 DetectionService::DetectionService(std::shared_ptr<ModelRegistry> registry,
                                    std::string default_model, ServiceConfig config)
@@ -184,6 +117,53 @@ void DetectionService::register_metrics() {
                                       "Batches queued on the scan thread pool.");
   pool_in_flight_ = &metrics_.gauge("noodle_pool_inflight",
                                     "Batches executing on the scan thread pool.");
+}
+
+DetectionService::ModelCounters& DetectionService::model_counters(const std::string& name) {
+  std::lock_guard<std::mutex> lock(counters_mutex_);
+  auto it = counters_.find(name);
+  if (it != counters_.end()) return *it->second;
+  // Bound the cells against attacker-chosen names: overflow names share
+  // one cell, and a given name maps to the same cell for its lifetime
+  // (the map only grows).
+  it = counters_.try_emplace(counters_.size() < kMaxTrackedModels ? name : kOverflowCell)
+           .first;
+  if (it->second) return *it->second;
+
+  const obs::Labels model{{"model", it->first}};
+  const auto counter = [&](const char* family, const char* help) {
+    return &metrics_.counter(family, help, model);
+  };
+  auto cell = std::make_unique<ModelCounters>();
+  cell->requests = counter("noodle_requests_total", "submit() calls.");
+  cell->cache_hits =
+      counter("noodle_cache_hits_total", "Requests answered from the LRU verdict cache.");
+  cell->disk_hits = counter("noodle_disk_hits_total",
+                            "Requests answered from the persistent disk cache tier.");
+  cell->scans = counter("noodle_scans_total", "Verdicts computed by a detector.");
+  cell->parse_failures =
+      counter("noodle_parse_failures_total", "Requests rejected with a parse error.");
+  cell->model_misses =
+      counter("noodle_model_misses_total", "Requests naming an unknown model/version.");
+  cell->deadline_timeouts =
+      counter("noodle_deadline_timeouts_total",
+              "Requests failed with DeadlineError before being scanned.");
+  cell->batches =
+      counter("noodle_batches_total", "Single-generation batch groups dispatched.");
+  cell->scan_micros = counter("noodle_scan_busy_microseconds_total",
+                              "Wall time spent inside detector batch scans.");
+  cell->lint_runs =
+      counter("noodle_lint_runs_total", "Sources the static-analysis pass covered.");
+  for (std::size_t rule = 0; rule < lint::kRuleCount; ++rule) {
+    cell->lint_by_rule[rule] = &metrics_.counter(
+        "noodle_lint_findings_total", "Lint findings by rule.",
+        {{"model", it->first},
+         {"rule", lint::rule_info(static_cast<lint::RuleId>(rule)).code}});
+  }
+  cell->max_batch_size = &metrics_.gauge(
+      "noodle_max_batch_size", "Largest coalesced batch group so far.", model);
+  it->second = std::move(cell);
+  return *it->second;
 }
 
 DetectionService::DetectionService(core::NoodleDetector detector, ServiceConfig config)
@@ -245,7 +225,8 @@ std::future<core::DetectionReport> DetectionService::submit_request(
   // deterministically with submission: a toggle affects exactly the
   // requests submitted after it, however the dispatcher batches them.
   const bool want_lint = lint_.load(std::memory_order_relaxed);
-  stats_.record_request(spec.name);
+  ModelCounters& counters = model_counters(spec.name);
+  counters.requests->inc();
 
   // Cache probe against the generation the spec resolves to right now; the
   // generation id in the key means a reload in between can only cause a
@@ -279,11 +260,7 @@ std::future<core::DetectionReport> DetectionService::submit_request(
   if (probe == CacheProbe::kHit || probe == CacheProbe::kDiskHit) {
     // The hit is recorded only now — after the probe validated the source
     // bytes AND the entry's lint state — never before.
-    if (probe == CacheProbe::kHit) {
-      stats_.record_cache_hit(spec.name);
-    } else {
-      stats_.record_disk_hit(spec.name);
-    }
+    (probe == CacheProbe::kHit ? counters.cache_hits : counters.disk_hits)->inc();
     cached.timing = core::RequestTiming{};
     cached.timing.trace_id = trace_id;
     cached.timing.from_cache = true;
@@ -307,6 +284,7 @@ std::future<core::DetectionReport> DetectionService::submit_request(
 
   Request request;
   request.spec = std::move(spec);
+  request.counters = &counters;
   request.source = std::move(source);
   request.key = hash;
   request.lint = want_lint;
@@ -364,14 +342,26 @@ void DetectionService::drain() {
   drained_cv_.wait(lock, [this] { return outstanding_ == 0; });
 }
 
-ServiceStats DetectionService::stats() const { return stats_.snapshot(); }
+ServiceStats DetectionService::stats() const {
+  ServiceStats total;
+  std::lock_guard<std::mutex> lock(counters_mutex_);
+  for (const auto& [name, cell] : counters_) cell->add_to(total);
+  return total;
+}
 
 ServiceStats DetectionService::stats(const std::string& model_name) const {
-  return stats_.snapshot(model_name);
+  ServiceStats one;
+  std::lock_guard<std::mutex> lock(counters_mutex_);
+  const auto it = counters_.find(model_name);
+  if (it != counters_.end()) it->second->add_to(one);
+  return one;
 }
 
 std::map<std::string, ServiceStats> DetectionService::stats_by_model() const {
-  return stats_.by_model();
+  std::map<std::string, ServiceStats> by_model;
+  std::lock_guard<std::mutex> lock(counters_mutex_);
+  for (const auto& [name, cell] : counters_) cell->add_to(by_model[name]);
+  return by_model;
 }
 
 DiskCacheStats DetectionService::disk_cache_stats() const {
@@ -384,59 +374,10 @@ DiskCacheStats DetectionService::disk_cache_stats() const {
 }
 
 void DetectionService::render_prometheus(std::ostream& os) {
-  sync_mirrored_metrics();
-  metrics_.render_prometheus(os);
-}
-
-std::vector<obs::MetricsRegistry::Sample> DetectionService::metrics_snapshot() {
-  sync_mirrored_metrics();
-  return metrics_.snapshot();
-}
-
-void DetectionService::sync_mirrored_metrics() {
-  // One consistent StatsBook snapshot feeds every mirrored sample, so the
-  // exposition can never disagree with a `!stats` line printed from the
-  // same instant's counters (satellite: StatsBook mirrored, ServiceStats
-  // API unchanged). Registration is get-or-create and the source counters
-  // are monotone, so set() is safe here.
-  const auto [total, by_model] = stats_.snapshot_all();
-  const auto mirror = [this](const char* name, const char* help,
-                             const std::string& model, std::uint64_t value) {
-    metrics_.counter(name, help, {{"model", model}}).set(value);
-  };
-  for (const auto& [model, cell] : by_model) {
-    mirror("noodle_requests_total", "submit() calls.", model, cell.requests);
-    mirror("noodle_cache_hits_total", "Requests answered from the LRU verdict cache.",
-           model, cell.cache_hits);
-    mirror("noodle_disk_hits_total",
-           "Requests answered from the persistent disk cache tier.", model,
-           cell.disk_hits);
-    mirror("noodle_scans_total", "Verdicts computed by a detector.", model,
-           cell.scans);
-    mirror("noodle_parse_failures_total", "Requests rejected with a parse error.",
-           model, cell.parse_failures);
-    mirror("noodle_model_misses_total", "Requests naming an unknown model/version.",
-           model, cell.model_misses);
-    mirror("noodle_deadline_timeouts_total",
-           "Requests failed with DeadlineError before being scanned.", model,
-           cell.deadline_timeouts);
-    mirror("noodle_batches_total", "Single-generation batch groups dispatched.",
-           model, cell.batches);
-    mirror("noodle_scan_busy_microseconds_total",
-           "Wall time spent inside detector batch scans.", model, cell.scan_micros);
-    mirror("noodle_lint_runs_total", "Sources the static-analysis pass covered.",
-           model, cell.lint_runs);
-    for (std::size_t rule = 0; rule < lint::kRuleCount; ++rule) {
-      if (cell.lint_by_rule[rule] == 0) continue;  // bound label cardinality
-      metrics_
-          .counter("noodle_lint_findings_total", "Lint findings by rule.",
-                   {{"model", model},
-                    {"rule", lint::rule_info(static_cast<lint::RuleId>(rule)).code}})
-          .set(cell.lint_by_rule[rule]);
-    }
-  }
-  metrics_.gauge("noodle_max_batch_size", "Largest coalesced batch group so far.")
-      .set(static_cast<std::int64_t>(total.max_batch_size));
+  // Everything the request path counts is already in metrics_. What is
+  // left is state with another owner, read as one snapshot each, and
+  // structure sizes. Registration is get-or-create and ReloadStats and
+  // DiskCacheStats are monotone, so set() is safe here.
   metrics_.gauge("noodle_cache_entries", "Live verdict-cache entries.")
       .set(static_cast<std::int64_t>(cache_size()));
   {
@@ -509,6 +450,7 @@ void DetectionService::sync_mirrored_metrics() {
                "1 while the disk tier accepts lookups and stores.")
         .set(disk.enabled ? 1 : 0);
   }
+  metrics_.render_prometheus(os);
 }
 
 ModelHandle DetectionService::reload(const std::string& name,
@@ -565,7 +507,8 @@ void DetectionService::process_batch(std::vector<Request> batch) {
 
 void DetectionService::process_group(const std::string& group_label,
                                      std::vector<Request> group) {
-  const std::string model_name = group.front().spec.name;
+  // Every request in a group names the same model, so they share a cell.
+  ModelCounters& counters = *group.front().counters;
   const std::size_t submitted = group.size();
   // Queue wait: submit() to this pickup, per request, on the one monotonic
   // clock every span uses.
@@ -588,7 +531,7 @@ void DetectionService::process_group(const std::string& group_label,
     live.reserve(group.size());
     for (Request& request : group) {
       if (request.deadline_nanos != 0 && pickup_nanos >= request.deadline_nanos) {
-        stats_.record_deadline_timeout(model_name);
+        counters.deadline_timeouts->inc();
         request.fail(std::make_exception_ptr(DeadlineError(
             "DetectionService: deadline expired before dispatch")));
       } else {
@@ -606,10 +549,8 @@ void DetectionService::process_group(const std::string& group_label,
   if (!handle) {
     const auto error = std::make_exception_ptr(
         RegistryError("DetectionService: no model '" + group_label + "'"));
-    for (Request& request : group) {
-      stats_.record_model_miss(model_name);
-      request.fail(error);
-    }
+    counters.model_misses->inc(group.size());
+    for (Request& request : group) request.fail(error);
     finish_requests(submitted);
     return;
   }
@@ -692,16 +633,16 @@ void DetectionService::process_group(const std::string& group_label,
 
   // Publish counters and cache entries BEFORE fulfilling any promise, so a
   // caller who has observed a verdict also observes its counters.
-  stats_.record_batch(model_name, reports.size(), rejected.size(), group.size(),
-                      elapsed_micros);
-  if (lint_runs > 0) {
-    std::array<std::uint64_t, lint::kRuleCount> by_rule{};
-    for (const core::DetectionReport& report : reports) {
-      for (const lint::OwnedFinding& finding : report.lint_findings) {
-        ++by_rule[static_cast<std::size_t>(finding.rule)];
-      }
+  counters.batches->inc();
+  counters.scans->inc(reports.size());
+  counters.parse_failures->inc(rejected.size());
+  counters.scan_micros->inc(elapsed_micros);
+  counters.max_batch_size->raise(static_cast<std::int64_t>(group.size()));
+  counters.lint_runs->inc(lint_runs);
+  for (const core::DetectionReport& report : reports) {
+    for (const lint::OwnedFinding& finding : report.lint_findings) {
+      counters.lint_by_rule[static_cast<std::size_t>(finding.rule)]->inc();
     }
-    stats_.record_lint(model_name, lint_runs, by_rule);
   }
   for (std::size_t s = 0; s < reports.size(); ++s) {
     cache_store(CacheKey{handle->id(), group[sample_owner[s]].key},

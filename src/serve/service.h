@@ -12,9 +12,9 @@
 //   * verdicts are memoized in an LRU cache keyed by (generation id,
 //     fnv1a64(source)) — cached verdicts from different generations of the
 //     same name can never collide, and stale generations simply age out;
-//   * counters are kept per model name plus an aggregate, and every read
-//     goes through StatsBook::snapshot() so a reported ServiceStats is
-//     internally consistent (never torn totals like hits > requests).
+//   * counters are handles into the service's obs::MetricsRegistry, one
+//     bundle per model name; stats() reads those same cells, in an order
+//     that never shows torn totals like hits > requests.
 //
 // FittedModel generations are immutable, which is what makes batching
 // across threads safe and verdicts independent of arrival order: a service
@@ -96,10 +96,18 @@ struct ServiceConfig {
   DiskCacheConfig disk_cache;
 };
 
-/// One consistent counters snapshot (see StatsBook). Monotonic except that
-/// a snapshot as a whole is taken atomically: invariants like
-/// cache_hits + scans + parse_failures + model_misses + deadline_timeouts
-/// <= requests hold in every copy handed out.
+/// Per-model counters are bounded: model names come from client-supplied
+/// request specs, so once kMaxTrackedModels distinct names have counters,
+/// further new names share the kOverflowCell. A name is routed to the same
+/// cell for the service's lifetime, so per-cell invariants still hold, and
+/// a stream of bogus names cannot grow the metrics without bound.
+inline constexpr std::size_t kMaxTrackedModels = 256;
+inline constexpr const char* kOverflowCell = "(other)";
+
+/// A read of the service counters. Every field is loaded from the metrics
+/// registry cells the exposition renders; outcomes are loaded before
+/// requests, so cache_hits + disk_hits + scans + parse_failures +
+/// model_misses + deadline_timeouts <= requests holds in every copy.
 struct ServiceStats {
   std::uint64_t requests = 0;       ///< total submit() calls
   std::uint64_t cache_hits = 0;     ///< answered from the LRU without a scan
@@ -128,53 +136,6 @@ struct ServiceStats {
     return scans == 0 ? 0.0
                       : static_cast<double>(scan_micros) / static_cast<double>(scans);
   }
-};
-
-/// Aggregate + per-model-name service counters. Every mutation and every
-/// read happens under one mutex, so snapshot() returns a copy whose
-/// counters are mutually consistent — a caller can never observe a torn
-/// total (e.g. a cache hit counted before the request that caused it).
-///
-/// Model names come from client-supplied request specs, so the per-name
-/// map is bounded: once kMaxTrackedModels distinct names exist, further
-/// new names share one "(other)" cell (a name is routed consistently, so
-/// per-cell invariants still hold). This keeps a long-lived service from
-/// growing without bound under a stream of bogus model names.
-class StatsBook {
- public:
-  static constexpr std::size_t kMaxTrackedModels = 256;
-  static constexpr const char* kOverflowCell = "(other)";
-
-  /// Consistent aggregate snapshot.
-  ServiceStats snapshot() const;
-  /// Consistent snapshot for one model name (zeros if never seen).
-  ServiceStats snapshot(const std::string& model) const;
-  /// Consistent snapshot of every model's counters.
-  std::map<std::string, ServiceStats> by_model() const;
-  /// Aggregate and per-model snapshots taken under ONE lock acquisition —
-  /// the pair is mutually consistent (total == sum of cells), which is what
-  /// the Prometheus mirror needs so `!stats` and `!metrics` can never
-  /// disagree.
-  std::pair<ServiceStats, std::map<std::string, ServiceStats>> snapshot_all() const;
-
-  void record_request(const std::string& model);
-  void record_cache_hit(const std::string& model);
-  void record_disk_hit(const std::string& model);
-  void record_model_miss(const std::string& model);
-  void record_deadline_timeout(const std::string& model);
-  void record_batch(const std::string& model, std::uint64_t scans,
-                    std::uint64_t parse_failures, std::uint64_t batch_size,
-                    std::uint64_t scan_micros);
-  void record_lint(const std::string& model, std::uint64_t runs,
-                   const std::array<std::uint64_t, lint::kRuleCount>& by_rule);
-
- private:
-  template <typename Fn>
-  void update(const std::string& model, Fn&& fn);
-
-  mutable std::mutex mu_;
-  ServiceStats total_;
-  std::map<std::string, ServiceStats> per_model_;
 };
 
 class DetectionService {
@@ -248,28 +209,27 @@ class DetectionService {
   /// Blocks until every request submitted so far has been answered.
   void drain();
 
-  /// Consistent aggregate counters (see StatsBook).
+  /// Aggregate counters: the sum of every model's cells (see ServiceStats).
   ServiceStats stats() const;
-  /// Consistent counters for one model name.
+  /// Counters for one model name (zeros if it has no cell).
   ServiceStats stats(const std::string& model_name) const;
-  /// Consistent counters for every model name seen so far.
+  /// Counters for every model cell so far, kOverflowCell included.
   std::map<std::string, ServiceStats> stats_by_model() const;
 
-  /// The service's observability surface: per-stage latency histograms
-  /// (noodle_stage_duration_seconds{stage=...}), cache miss-reason
-  /// counters, thread-pool gauges — plus, after sync via
-  /// render_prometheus()/metrics_snapshot(), a mirror of every StatsBook
-  /// counter. Embedders may register their own metrics here too.
+  /// The service's counter store: per-model request counters
+  /// (noodle_requests_total{model=...} and the rest of ServiceStats),
+  /// per-stage latency histograms (noodle_stage_duration_seconds{stage=...}),
+  /// cache-probe outcome counters and thread-pool gauges, all updated in
+  /// place by the request path. net::ScanServer and SnapshotStore count
+  /// here too, and embedders may register their own metrics.
   obs::MetricsRegistry& metrics() noexcept { return metrics_; }
   const obs::MetricsRegistry& metrics() const noexcept { return metrics_; }
 
-  /// Mirrors StatsBook/registry/cache state into the metrics registry
-  /// (one consistent StatsBook snapshot — `!stats` and `!metrics` can
-  /// never disagree), then renders the Prometheus text exposition.
-  /// Thread-safe; callable while the service runs.
+  /// Reads the state other owners keep (the disk tier, the model registry)
+  /// and structure sizes (cache entries, queue depth) into the registry,
+  /// then renders the Prometheus text exposition. Thread-safe; callable
+  /// while the service runs.
   void render_prometheus(std::ostream& os);
-  /// Same sync, returning the raw samples instead of rendering.
-  std::vector<obs::MetricsRegistry::Sample> metrics_snapshot();
 
   /// The live registry: publish/reload/retire take effect on the next
   /// dispatched batch without pausing the service.
@@ -301,8 +261,30 @@ class DetectionService {
   DiskCacheStats disk_cache_stats() const;
 
  private:
+  /// One model cell: handles into metrics_ labelled {model=cell}. Created
+  /// on a name's first submit and never freed, so a Request can carry a
+  /// plain pointer to it from submit to its worker.
+  struct ModelCounters {
+    obs::Counter* requests = nullptr;
+    obs::Counter* cache_hits = nullptr;
+    obs::Counter* disk_hits = nullptr;
+    obs::Counter* scans = nullptr;
+    obs::Counter* parse_failures = nullptr;
+    obs::Counter* model_misses = nullptr;
+    obs::Counter* deadline_timeouts = nullptr;
+    obs::Counter* batches = nullptr;
+    obs::Counter* scan_micros = nullptr;
+    obs::Counter* lint_runs = nullptr;
+    std::array<obs::Counter*, lint::kRuleCount> lint_by_rule{};
+    obs::Gauge* max_batch_size = nullptr;
+
+    /// Adds this cell's counts into `s` (max_batch_size takes the max).
+    void add_to(ServiceStats& s) const;
+  };
+
   struct Request {
     ModelSpec spec;
+    ModelCounters* counters = nullptr;  ///< the spec name's cell
     std::string source;
     std::uint64_t key = 0;
     bool lint = false;  // lint_ sampled at submit time
@@ -391,9 +373,9 @@ class DetectionService {
   void finish_requests(std::size_t count);
   /// Registers the service's own metrics (constructor only).
   void register_metrics();
-  /// Pushes one consistent StatsBook snapshot plus registry/cache/pool
-  /// state into the metrics registry (render path, not hot path).
-  void sync_mirrored_metrics();
+  /// The cell counting requests for model `name`: found, or registered on
+  /// the name's first request (kOverflowCell past kMaxTrackedModels).
+  ModelCounters& model_counters(const std::string& name);
 
   std::shared_ptr<ModelRegistry> registry_;
   std::string default_model_;
@@ -421,8 +403,6 @@ class DetectionService {
   std::list<CacheKey> lru_;
   std::unordered_map<CacheKey, CacheEntry, CacheKeyHash> cache_;
 
-  StatsBook stats_;
-
   /// Disk tier under the LRU; null when not configured. Declared before
   /// pool_/dispatcher_ because their threads store into it; its own writer
   /// thread never touches service state, so destruction order is safe.
@@ -436,6 +416,10 @@ class DetectionService {
       probe_counters_{};
   obs::Gauge* pool_queue_depth_ = nullptr;
   obs::Gauge* pool_in_flight_ = nullptr;
+  /// Model cells by name. The mutex guards membership only: the counts
+  /// are atomics in metrics_.
+  mutable std::mutex counters_mutex_;
+  std::map<std::string, std::unique_ptr<ModelCounters>> counters_;
 
   util::ThreadPool pool_;
   std::thread dispatcher_;

@@ -40,19 +40,15 @@ bool digest_file(const std::filesystem::path& path, std::uint64_t& out) {
 }  // namespace
 
 SnapshotStore::SnapshotStore(SnapshotStoreConfig config, ModelRegistry& registry,
-                             obs::MetricsRegistry* metrics)
-    : config_(std::move(config)), registry_(registry), metrics_(metrics) {
-  if (metrics_ != nullptr) {
-    // Register both families up front so exposition shows zeros before the
-    // first sweep and sweeps only touch pre-registered handles.
-    accepted_counter_ = &metrics_->counter(
-        "noodle_snapshot_store_accepted_total",
-        "Snapshot archives validated and published from the store");
-    rejected_counter_ = &metrics_->counter(
-        "noodle_snapshot_store_rejected_total",
-        "Snapshot archives refused by validation");
-  }
-}
+                             obs::MetricsRegistry& metrics)
+    : config_(std::move(config)),
+      registry_(registry),
+      // Both families are registered up front, so the exposition shows
+      // zeros before the first sweep.
+      accepted_(metrics.counter("noodle_snapshot_store_accepted_total",
+                                "Snapshot archives validated and published from the store")),
+      rejected_(metrics.counter("noodle_snapshot_store_rejected_total",
+                                "Snapshot archives refused by validation")) {}
 
 SnapshotStore::~SnapshotStore() { stop(); }
 
@@ -98,7 +94,7 @@ void SnapshotStore::poke() {
 
 SnapshotStoreStats SnapshotStore::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return counters_;
+  return {scans_, accepted_.value(), rejected_.value(), judged_.size(), last_error_};
 }
 
 bool SnapshotStore::valid_model_name(const std::string& stem) {
@@ -137,21 +133,18 @@ std::size_t SnapshotStore::sweep() {
       // (pass or fail) in the registry's reload event log.
       try {
         registry_.reload_from(stem, path);
-        ++counters_.accepted;
+        accepted_.inc();
         ++accepted_this_sweep;
-        if (accepted_counter_ != nullptr) accepted_counter_->inc();
       } catch (const std::exception& error) {
-        ++counters_.rejected;
-        counters_.last_error = filename + ": " + error.what();
-        if (rejected_counter_ != nullptr) rejected_counter_->inc();
+        rejected_.inc();
+        last_error_ = filename + ": " + error.what();
       }
       // Remember the digest either way — a bad archive is not retried
       // until its bytes change.
       judged_[filename] = digest;
     }
   }
-  ++counters_.scans;
-  counters_.known = judged_.size();
+  ++scans_;
   return accepted_this_sweep;
 }
 

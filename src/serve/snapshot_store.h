@@ -50,7 +50,8 @@ struct SnapshotStoreConfig {
   std::chrono::milliseconds poll_interval{2000};
 };
 
-/// One consistent counter snapshot (all fields read under one lock).
+/// The store's counters, read under its sweep lock: accepted and rejected
+/// are the noodle_snapshot_store_* cells in the metrics registry.
 struct SnapshotStoreStats {
   std::uint64_t scans = 0;     ///< directory sweeps completed
   std::uint64_t accepted = 0;  ///< archives validated and published
@@ -61,12 +62,12 @@ struct SnapshotStoreStats {
 
 class SnapshotStore {
  public:
-  /// `registry` must outlive the store. `metrics` (optional) receives
-  /// noodle_snapshot_store_{accepted,rejected}_total counters. The
+  /// `registry` and `metrics` must outlive the store, which counts into
+  /// noodle_snapshot_store_{accepted,rejected}_total in `metrics`. The
   /// constructor neither scans nor starts a thread — call start() (or
   /// rescan_now() for a one-shot synchronous sweep, used by tests).
   SnapshotStore(SnapshotStoreConfig config, ModelRegistry& registry,
-                obs::MetricsRegistry* metrics = nullptr);
+                obs::MetricsRegistry& metrics);
   ~SnapshotStore();
 
   SnapshotStore(const SnapshotStore&) = delete;
@@ -101,23 +102,22 @@ class SnapshotStore {
   SnapshotStoreConfig config_;
   ModelRegistry& registry_;
 
-  /// Serializes sweeps and guards the digest memory + counters, so stats()
-  /// is one consistent snapshot.
+  /// Serializes sweeps and guards the digest memory, scans_ and
+  /// last_error_, so stats() reads between sweeps.
   mutable std::mutex mu_;
   /// Every digest this store has judged (accepted or rejected), keyed by
   /// filename so an overwritten file re-validates.
   std::unordered_map<std::string, std::uint64_t> judged_;
-  SnapshotStoreStats counters_;
+  std::uint64_t scans_ = 0;
+  std::string last_error_;
+  obs::Counter& accepted_;
+  obs::Counter& rejected_;
 
   std::mutex wake_mu_;
   std::condition_variable wake_cv_;
   bool poke_ = false;
   bool stopping_ = false;
   std::thread poller_;
-
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::Counter* accepted_counter_ = nullptr;  ///< registered at construction
-  obs::Counter* rejected_counter_ = nullptr;
 };
 
 }  // namespace noodle::serve

@@ -4,7 +4,7 @@
 // reset drops only the failing connection, write failures settle in-flight
 // accounting, transient EAGAIN buffers and flushes, an exhausted write
 // budget trips the stall watchdog, a fault storm leaks neither fds nor
-// connection slots, and the Prometheus mirror never disagrees with stats().
+// connection slots, and the exposition renders the very cells stats() reads.
 //
 // The service here runs with an EMPTY registry: every scan answers
 // "no-model" in one dispatch tick, so the matrix exercises the transport
@@ -14,7 +14,6 @@
 #include <poll.h>
 #include <sys/socket.h>
 
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -28,6 +27,7 @@
 #include "net/protocol.h"
 #include "net/server.h"
 #include "net/socket.h"
+#include "obs/metrics.h"
 #include "serve/service.h"
 #include "util/fault_injector.h"
 
@@ -275,6 +275,9 @@ TEST_F(NetFaultsTest, ExhaustedWriteBudgetTripsTheStallWatchdog) {
     const net::ServerStats stats = harness.server.stats();
     return stats.dropped >= 1 && stats.connections == 0 && stats.inflight == 0;
   }));
+  // The evicted connection's unsent bytes leave the buffered-bytes gauge.
+  const obs::Gauge& wbuf = service_.metrics().gauge("noodle_net_wbuf_bytes", "");
+  EXPECT_TRUE(wait_for([&] { return wbuf.value() == 0; }));
 }
 
 TEST_F(NetFaultsTest, FaultStormLeaksNoFileDescriptorsOrConnectionSlots) {
@@ -316,7 +319,7 @@ TEST_F(NetFaultsTest, FaultStormLeaksNoFileDescriptorsOrConnectionSlots) {
   EXPECT_EQ(stats.inflight, 0u);
 }
 
-TEST_F(NetFaultsTest, PrometheusMirrorNeverDisagreesWithTheStatsSnapshot) {
+TEST_F(NetFaultsTest, ExpositionRendersTheCellsStatsReads) {
   ServerHarness harness(service_, net::ServerConfig{});
   LineClient client;
   ASSERT_TRUE(client.connect(harness.port()));
@@ -325,13 +328,11 @@ TEST_F(NetFaultsTest, PrometheusMirrorNeverDisagreesWithTheStatsSnapshot) {
     EXPECT_EQ(client.read_line(), no_model());
   }
 
-  std::atomic<bool> synced{false};
-  harness.loop.post([&] {
-    harness.server.sync_metrics();
-    synced = true;
-  });
-  ASSERT_TRUE(wait_for([&] { return synced.load(); }));
-
+  // The server counts straight into the service's registry, so a render
+  // from this thread shows every request. Only the write bookkeeping may
+  // trail the client's read by a moment.
+  const obs::Gauge& wbuf = service_.metrics().gauge("noodle_net_wbuf_bytes", "");
+  ASSERT_TRUE(wait_for([&] { return wbuf.value() == 0; }));
   std::ostringstream exposition;
   service_.metrics().render_prometheus(exposition);
   const std::string text = exposition.str();
@@ -341,6 +342,7 @@ TEST_F(NetFaultsTest, PrometheusMirrorNeverDisagreesWithTheStatsSnapshot) {
     if (pos == std::string::npos) return -1;
     return std::stol(text.substr(pos + name.size() + 2));
   };
+  EXPECT_EQ(stats.requests, 3u);
   EXPECT_EQ(sample("noodle_net_accepted_total"),
             static_cast<long>(stats.accepted));
   EXPECT_EQ(sample("noodle_net_requests_total"),
@@ -350,6 +352,8 @@ TEST_F(NetFaultsTest, PrometheusMirrorNeverDisagreesWithTheStatsSnapshot) {
   EXPECT_EQ(sample("noodle_net_shed_total"), static_cast<long>(stats.shed));
   EXPECT_EQ(sample("noodle_net_connections"),
             static_cast<long>(stats.connections));
+  EXPECT_EQ(sample("noodle_net_inflight"), static_cast<long>(stats.inflight));
+  EXPECT_EQ(sample("noodle_net_wbuf_bytes"), 0);
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // ModelRegistry's publish/resolve/retire/reload_from semantics, swap
 // atomicity under concurrent load (a scan is always answered by exactly one
 // generation, bit-identically), generation-scoped verdict caching, f32
-// snapshot compaction round-tripping through the registry, and StatsBook
-// snapshot consistency.
+// snapshot compaction round-tripping through the registry, and the
+// consistency and bounds of the service's per-model counters.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,9 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <set>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -145,7 +148,6 @@ TEST_F(RegistryFixture, PublishResolveRetireSemantics) {
   EXPECT_THROW(registry.publish("bad name", gen_a_->fitted_model()),
                serve::RegistryError);
   EXPECT_THROW(registry.resolve("m"), serve::RegistryError);
-  EXPECT_THROW(registry.latest_view("m"), serve::RegistryError);
 
   const serve::ModelHandle v1 = registry.publish("m", gen_a_->fitted_model());
   const serve::ModelHandle v2 = registry.publish("m", gen_b_->fitted_model());
@@ -203,20 +205,20 @@ TEST_F(RegistryFixture, ReloadFromLoadsValidatesAndSwaps) {
   std::filesystem::remove(bad);
 }
 
-TEST_F(RegistryFixture, LatestViewTracksSwapsWithoutLocks) {
+TEST_F(RegistryFixture, ResolvingLatestTracksSwapsAndRetires) {
   serve::ModelRegistry registry;
   registry.publish("m", gen_a_->fitted_model());
-  const serve::ModelRegistry::LatestView view = registry.latest_view("m");
-  const serve::ModelHandle first = view.get();
+  const serve::ModelSpec latest{"m", 0};
+  const serve::ModelHandle first = registry.try_resolve(latest);
   ASSERT_NE(first, nullptr);
   EXPECT_EQ(first->version(), 1u);
 
   registry.publish("m", gen_b_->fitted_model());
-  EXPECT_EQ(view.get()->version(), 2u);
+  EXPECT_EQ(registry.try_resolve(latest)->version(), 2u);
 
   registry.retire("m");
   registry.retire("m");
-  EXPECT_EQ(view.get(), nullptr);
+  EXPECT_EQ(registry.try_resolve(latest), nullptr);
 
   // The old handle is still pinned and scannable after full retirement.
   EXPECT_TRUE(identical(first->model().scan_features((*samples_)[0]), (*ref_a_)[0]));
@@ -383,8 +385,8 @@ TEST_F(RegistryFixture, StatsMapIsBoundedAgainstBogusModelNames) {
   serve::DetectionService service(registry, "m");
 
   // A client spraying distinct nonexistent model names must not grow the
-  // per-model stats map without bound: overflow names share one cell.
-  const std::size_t bogus = serve::StatsBook::kMaxTrackedModels + 40;
+  // per-model counters without bound: overflow names share one cell.
+  const std::size_t bogus = serve::kMaxTrackedModels + 40;
   std::vector<std::future<core::DetectionReport>> futures;
   futures.reserve(bogus);
   for (std::size_t i = 0; i < bogus; ++i) {
@@ -395,13 +397,31 @@ TEST_F(RegistryFixture, StatsMapIsBoundedAgainstBogusModelNames) {
 
   EXPECT_EQ(service.stats().model_misses, bogus);
   const auto by_model = service.stats_by_model();
-  EXPECT_LE(by_model.size(), serve::StatsBook::kMaxTrackedModels + 1);
-  const auto overflow = by_model.find(serve::StatsBook::kOverflowCell);
+  EXPECT_LE(by_model.size(), serve::kMaxTrackedModels + 1);
+  const auto overflow = by_model.find(serve::kOverflowCell);
   ASSERT_NE(overflow, by_model.end());
   EXPECT_GE(overflow->second.model_misses, 40u);
   std::uint64_t misses = 0;
   for (const auto& [name, stats] : by_model) misses += stats.model_misses;
   EXPECT_EQ(misses, bogus);  // per-model cells still partition the aggregate
+
+  // The exposition is bounded the same way: the cells are its series.
+  std::ostringstream os;
+  service.render_prometheus(os);
+  std::istringstream lines(os.str());
+  const std::string prefix = "noodle_model_misses_total{model=\"";
+  std::set<std::string> models;
+  std::uint64_t rendered_misses = 0;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind(prefix, 0) != 0) continue;
+    const std::size_t close = line.find("\"} ", prefix.size());
+    ASSERT_NE(close, std::string::npos) << line;
+    models.insert(line.substr(prefix.size(), close - prefix.size()));
+    rendered_misses += std::stoull(line.substr(close + 3));
+  }
+  EXPECT_LE(models.size(), serve::kMaxTrackedModels + 1);
+  EXPECT_EQ(models.count(serve::kOverflowCell), 1u);
+  EXPECT_EQ(rendered_misses, bogus);
 }
 
 // --- f32 snapshot compaction -------------------------------------------------
@@ -477,7 +497,7 @@ TEST_F(RegistryFixture, I8SnapshotIsSmallerAndVerdictEquivalent) {
   std::filesystem::remove(path_i8);
 }
 
-// --- StatsBook consistency ---------------------------------------------------
+// --- stats view consistency --------------------------------------------------
 
 TEST_F(RegistryFixture, StatsSnapshotsAreNeverTorn) {
   auto registry = std::make_shared<serve::ModelRegistry>();

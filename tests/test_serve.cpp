@@ -405,7 +405,7 @@ std::uint64_t sample_counter(const std::vector<obs::MetricsRegistry::Sample>& sa
 }
 
 std::uint64_t probe_count(serve::DetectionService& service, const char* outcome) {
-  return sample_counter(service.metrics_snapshot(), "noodle_cache_probes_total",
+  return sample_counter(service.metrics().snapshot(), "noodle_cache_probes_total",
                         {{"outcome", outcome}});
 }
 
@@ -481,7 +481,7 @@ TEST(DetectionServiceConfig, RejectsUnfittedDetector) {
                std::invalid_argument);
 }
 
-// --- observability: cache-probe accounting, timing, metrics mirror -----------
+// --- observability: cache-probe accounting, timing, one counter store --------
 
 TEST_F(DetectorSnapshot, CacheProbeAccountingIsExactUnderLintToggles) {
   core::NoodleDetector copy;
@@ -527,7 +527,7 @@ TEST_F(DetectorSnapshot, CacheProbeAccountingIsExactUnderLintToggles) {
             stats.requests);
 }
 
-TEST_F(DetectorSnapshot, StatsAndMetricsMirrorNeverDisagree) {
+TEST_F(DetectorSnapshot, StatsReadTheCellsTheExpositionRenders) {
   core::NoodleDetector copy;
   {
     const auto path = temp_snapshot_path("noodle_mirror.snap");
@@ -540,18 +540,20 @@ TEST_F(DetectorSnapshot, StatsAndMetricsMirrorNeverDisagree) {
     service.scan((*corpus_)[i % 3].verilog);
   }
 
-  const auto samples = service.metrics_snapshot();
+  // The registry's cells are the counters stats() reads, so they hold the
+  // values as soon as the requests are answered.
+  const auto samples = service.metrics().snapshot();
   const serve::ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.requests, 6u);
   const obs::Labels model{{"model", serve::kDefaultModelName}};
   EXPECT_EQ(sample_counter(samples, "noodle_requests_total", model), stats.requests);
   EXPECT_EQ(sample_counter(samples, "noodle_cache_hits_total", model), stats.cache_hits);
   EXPECT_EQ(sample_counter(samples, "noodle_scans_total", model), stats.scans);
   EXPECT_EQ(sample_counter(samples, "noodle_batches_total", model), stats.batches);
 
-  // And the rendered exposition agrees with the same snapshot the stats API
-  // hands out (the mirror syncs from ONE StatsBook lock acquisition).
+  // The registry's own rendering shows the same cells.
   std::ostringstream os;
-  service.render_prometheus(os);
+  service.metrics().render_prometheus(os);
   const std::string text = os.str();
   EXPECT_NE(text.find("noodle_requests_total{model=\"default\"} " +
                       std::to_string(stats.requests)),
@@ -591,7 +593,7 @@ TEST_F(DetectorSnapshot, ReportsCarryTimingAndDistinctTraceIds) {
   EXPECT_GE(b.timing.total_us, b.timing.queue_wait_us);
 
   // The per-stage histograms saw every request: one total recording each.
-  const auto samples = service.metrics_snapshot();
+  const auto samples = service.metrics().snapshot();
   for (const auto& sample : samples) {
     if (sample.name != "noodle_stage_duration_seconds") continue;
     if (sample.labels == obs::Labels{{"stage", "total"}}) {

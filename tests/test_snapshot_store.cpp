@@ -79,7 +79,8 @@ TEST_F(SnapshotStoreTest, DroppedArchivePublishesUnderItsStem) {
   serve::ModelRegistry registry;
   serve::SnapshotStoreConfig config;
   config.directory = dir_;
-  serve::SnapshotStore store(config, registry);
+  obs::MetricsRegistry metrics;
+  serve::SnapshotStore store(config, registry, metrics);
 
   drop("alpha.snap");
   EXPECT_EQ(store.rescan_now(), 1u);
@@ -101,7 +102,8 @@ TEST_F(SnapshotStoreTest, IdenticalRecopyIsADigestNoOp) {
   serve::ModelRegistry registry;
   serve::SnapshotStoreConfig config;
   config.directory = dir_;
-  serve::SnapshotStore store(config, registry);
+  obs::MetricsRegistry metrics;
+  serve::SnapshotStore store(config, registry, metrics);
 
   drop("alpha.snap");
   ASSERT_EQ(store.rescan_now(), 1u);
@@ -116,7 +118,8 @@ TEST_F(SnapshotStoreTest, OverwrittenBytesPublishANewVersion) {
   serve::ModelRegistry registry;
   serve::SnapshotStoreConfig config;
   config.directory = dir_;
-  serve::SnapshotStore store(config, registry);
+  obs::MetricsRegistry metrics;
+  serve::SnapshotStore store(config, registry, metrics);
 
   drop("alpha.snap");
   ASSERT_EQ(store.rescan_now(), 1u);
@@ -149,7 +152,7 @@ TEST_F(SnapshotStoreTest, CorruptArchiveRejectedOldGenerationKeepsServing) {
   obs::MetricsRegistry metrics;
   serve::SnapshotStoreConfig config;
   config.directory = dir_;
-  serve::SnapshotStore store(config, registry, &metrics);
+  serve::SnapshotStore store(config, registry, metrics);
 
   drop("alpha.snap");
   ASSERT_EQ(store.rescan_now(), 1u);
@@ -189,7 +192,7 @@ TEST_F(SnapshotStoreTest, CorruptArchiveRejectedOldGenerationKeepsServing) {
   EXPECT_EQ(store.rescan_now(), 0u);
   EXPECT_EQ(store.stats().rejected, 1u) << "bad digest was re-judged";
 
-  // Mirrored counters agree with the store's own numbers.
+  // stats() reads the very counters the exposition renders.
   std::ostringstream exposition;
   metrics.render_prometheus(exposition);
   EXPECT_NE(exposition.str().find("noodle_snapshot_store_accepted_total 1"),
@@ -202,7 +205,8 @@ TEST_F(SnapshotStoreTest, FixedBytesAreRetried) {
   serve::ModelRegistry registry;
   serve::SnapshotStoreConfig config;
   config.directory = dir_;
-  serve::SnapshotStore store(config, registry);
+  obs::MetricsRegistry metrics;
+  serve::SnapshotStore store(config, registry, metrics);
 
   // Drop garbage first: rejected, remembered.
   {
@@ -223,7 +227,8 @@ TEST_F(SnapshotStoreTest, SkipsTempsInvalidNamesAndSubdirectories) {
   serve::ModelRegistry registry;
   serve::SnapshotStoreConfig config;
   config.directory = dir_;
-  serve::SnapshotStore store(config, registry);
+  obs::MetricsRegistry metrics;
+  serve::SnapshotStore store(config, registry, metrics);
 
   // A publisher crashed mid-copy: AtomicFile temp must be left alone.
   fs::copy_file(archive_, dir_ / "alpha.snap.tmp.1234.7");
@@ -246,7 +251,8 @@ TEST_F(SnapshotStoreTest, PollThreadPublishesWithoutRescanNow) {
   serve::SnapshotStoreConfig config;
   config.directory = dir_;
   config.poll_interval = std::chrono::milliseconds(20);
-  serve::SnapshotStore store(config, registry);
+  obs::MetricsRegistry metrics;
+  serve::SnapshotStore store(config, registry, metrics);
   store.start();
   store.start();  // idempotent
 
@@ -269,7 +275,8 @@ TEST_F(SnapshotStoreTest, MissingDirectoryYieldsEmptySweeps) {
   serve::ModelRegistry registry;
   serve::SnapshotStoreConfig config;
   config.directory = dir_ / "does_not_exist";
-  serve::SnapshotStore store(config, registry);
+  obs::MetricsRegistry metrics;
+  serve::SnapshotStore store(config, registry, metrics);
   EXPECT_EQ(store.rescan_now(), 0u);
   EXPECT_EQ(store.stats().scans, 1u);
   EXPECT_TRUE(registry.names().empty());

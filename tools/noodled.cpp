@@ -381,8 +381,8 @@ void print_stats(std::ostream& out, const serve::DetectionService& service,
     print_stats_line(out, name.c_str(), stats);
   }
   if (service.disk_cache() != nullptr) {
-    // One stats() call — the identical snapshot the Prometheus mirror
-    // reads, so `!stats` and `!metrics` can never disagree on the tier.
+    // One stats() call feeds the whole line; the exposition reads the
+    // tier the same way, one snapshot per render.
     const serve::DiskCacheStats disk = service.disk_cache_stats();
     out << "noodled stats[disk-cache]: hits=" << disk.hits
         << " misses=" << disk.misses << " stores=" << disk.stores
@@ -401,7 +401,6 @@ void print_stats(std::ostream& out, const serve::DetectionService& service,
     out << "\n";
   }
   if (server != nullptr) {
-    // Same discipline: one snapshot feeds the whole line.
     const net::ServerStats n = server->stats();
     out << "noodled stats[net]: accepted=" << n.accepted
         << " dropped=" << n.dropped << " requests=" << n.requests
@@ -518,8 +517,6 @@ bool handle_control_line(const std::string& line, ControlContext& ctx,
     const std::size_t published = ctx.store->rescan_now();
     out << "noodled: store rescan published=" << published << "\n";
   } else if (command == "!metrics") {
-    // The net mirror is loop-thread-only; control lines already run there.
-    if (ctx.server != nullptr) ctx.server->sync_metrics();
     ctx.service.render_prometheus(out);
   } else if (command == "!trace") {
     std::string value;
@@ -769,8 +766,7 @@ int run_socket_mode(const Options& options, serve::DetectionService& service,
   if (!options.metrics_file.empty() && options.metrics_interval > 0) {
     const auto interval = std::chrono::seconds(options.metrics_interval);
     std::function<void()>* tick = dump_tick.get();
-    *dump_tick = [&service, &server, &options, &loop, tick, interval] {
-      server.sync_metrics();
+    *dump_tick = [&service, &options, &loop, tick, interval] {
       if (!dump_metrics(service, options.metrics_file)) {
         std::cerr << "noodled: metrics dump to " << options.metrics_file.string()
                   << " failed\n";
@@ -870,7 +866,7 @@ int main(int argc, char** argv) {
     store_config.directory = options.store_dir;
     store_config.poll_interval = std::chrono::seconds(options.store_interval);
     store = std::make_unique<serve::SnapshotStore>(store_config, *registry,
-                                                   &service.metrics());
+                                                   service.metrics());
     const std::size_t published = store->rescan_now();
     std::cerr << "noodled: snapshot store " << options.store_dir.string()
               << " published=" << published << "\n";
