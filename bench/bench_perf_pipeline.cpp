@@ -561,9 +561,10 @@ void BM_ServiceThroughput(benchmark::State& state) {
 BENCHMARK(BM_ServiceThroughput)->Arg(0)->Arg(1)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // One full TCP round trip over loopback: request line in, verdict line out,
-// through the epoll loop, admission control, the dispatcher hand-off, and
-// the FIFO write path. After the first iteration the verdict cache is hot,
-// so this measures transport + protocol overhead, not inference.
+// through the epoll loop, admission control, the service's submit-time
+// cache probe, and the FIFO write path. After the first iteration the
+// verdict cache is hot, so the loop thread answers inline and this measures
+// transport + protocol overhead, not inference.
 
 void BM_NetRoundTrip(benchmark::State& state) {
   const auto path = std::filesystem::temp_directory_path() / "noodle_bench_net.snap";

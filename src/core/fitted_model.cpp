@@ -117,7 +117,7 @@ std::vector<DetectionReport> FittedModel::scan_verilog_many(
   // intern-pool per worker, warm for the rest of the call instead of
   // re-allocating per sample. parallel_for spins its pool per call, so the
   // workspaces are rebuilt across calls; the truly persistent steady state
-  // lives on DetectionService's long-lived dispatcher threads. The lint
+  // lives on DetectionService's long-lived worker threads. The lint
   // pass rides the same workers, right after each featurize while the
   // worker's arena still holds that parse.
   std::vector<data::FeatureSample> samples(sources.size());

@@ -68,7 +68,7 @@ struct RequestTiming {
   /// True when the verdict was answered from the LRU verdict cache: the
   /// stage fields below are then 0 except cache_lookup_us and total_us.
   bool from_cache = false;
-  std::uint64_t queue_wait_us = 0;    ///< submit() -> dispatcher pickup
+  std::uint64_t queue_wait_us = 0;    ///< submit() -> worker pickup
   std::uint64_t featurize_us = 0;     ///< parse + feature extraction
   std::uint64_t infer_us = 0;         ///< this request's share of its batch scan
   std::uint64_t lint_us = 0;          ///< static-analysis pass (0 when lint off)

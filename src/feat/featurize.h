@@ -88,7 +88,7 @@ class FeaturizeWorkspace {
 
 /// The calling thread's workspace (created on first use, reused for the
 /// thread's lifetime). This is how the batch scan path and the service
-/// dispatcher get their one-workspace-per-worker without plumbing.
+/// workers get their one-workspace-per-worker without plumbing.
 FeaturizeWorkspace& thread_workspace();
 
 }  // namespace noodle::feat

@@ -173,7 +173,7 @@ class LintWorkspace {
 };
 
 /// The calling thread's workspace (created on first use) — how scan paths
-/// and the service dispatcher honor one-workspace-per-worker without
+/// and the service workers honor one-workspace-per-worker without
 /// plumbing, mirroring feat::thread_workspace().
 LintWorkspace& thread_workspace();
 

@@ -3,7 +3,7 @@
 // front end. One thread owns every connection, so per-connection state
 // needs no locks; the only cross-thread doors in are post() (a wakeup-fd
 // guarded task queue — how DetectionService completion callbacks marshal
-// verdicts back from pool threads without the loop ever blocking on
+// verdicts back from service workers without the loop ever blocking on
 // inference) and stop().
 //
 // Three event sources fan into the same epoll_wait:

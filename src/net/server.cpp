@@ -53,7 +53,7 @@ ScanServer::Metrics ScanServer::register_metrics(obs::MetricsRegistry& registry)
 ScanServer::~ScanServer() {
   // After drain() every submit_async completion has already run (the
   // service fulfils callbacks before it counts a request finished), so no
-  // pool thread can call back into freed server state. Posted-but-unrun
+  // service worker can call back into freed server state. Posted-but-unrun
   // loop tasks are inert: the loop must already be stopped (see header).
   service_.drain();
 }
@@ -262,7 +262,7 @@ void ScanServer::submit_scan(Connection& conn, const std::string& spec,
   metrics_.inflight.add(1);
   if (deadline.count() > 0) {
     // The net-side guarantee: the CLIENT sees TIMEOUT at the deadline even
-    // if the dispatcher is wedged under a pathological batch. Normally the
+    // if every worker is wedged under a pathological batch. Normally the
     // service answers first (its own sweep throws DeadlineError) and this
     // timer is cancelled unfired.
     slot->deadline_timer = loop_.add_timer(
@@ -272,7 +272,7 @@ void ScanServer::submit_scan(Connection& conn, const std::string& spec,
   options.deadline = deadline;
   serve::DetectionService::CompletionFn on_complete =
       [this, id, slot](std::future<core::DetectionReport> verdict) {
-        // Runs on a pool thread (or inline on the loop thread for cache
+        // Runs on a service worker (or inline on the loop thread for cache
         // hits) — marshal to the loop; futures are move-only, so park it
         // in a shared holder the std::function can copy.
         auto holder = std::make_shared<std::future<core::DetectionReport>>(

@@ -3,7 +3,7 @@
 // connections speaking the newline-delimited protocol of net/protocol.h,
 // multiplexed onto one net::EventLoop thread and mapped 1:1 onto
 // DetectionService::submit_async. The loop NEVER blocks on inference:
-// verdicts computed on pool threads are marshalled back with
+// verdicts computed on service workers are marshalled back with
 // EventLoop::post and stream out per connection in request order.
 //
 // Robustness is the design, not an afterthought:
@@ -22,9 +22,9 @@
 //     instead of queueing without bound. Overload degrades crisply, it
 //     does not cascade;
 //   * deadlines — "~deadline=MS" (or the configured default) propagates
-//     into the dispatcher, which answers expired requests "TIMEOUT"
-//     without scanning them; a net-side wheel timer answers even if the
-//     dispatcher wedges. Either way the client gets a line, never a hang;
+//     into the service, whose workers answer expired requests "TIMEOUT"
+//     without scanning them; a net-side wheel timer answers even if every
+//     worker wedges. Either way the client gets a line, never a hang;
 //   * graceful drain — begin_drain() (SIGTERM, or the "!drain" control
 //     line) closes the listener, sheds new requests with BUSY, lets
 //     in-flight work finish or deadline out, flushes every write buffer,

@@ -37,7 +37,15 @@ int checked_accept(int listen_fd) noexcept {
     errno = error;
     return -1;
   }
-  return ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+  const int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+  if (fd >= 0) {
+    // Nagle off: a response written while an earlier one is still
+    // unacknowledged would otherwise wait for the client's (delayed) ACK.
+    // Best-effort; a socket that refuses it still serves.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+  }
+  return fd;
 }
 
 ssize_t checked_read(int fd, void* buf, std::size_t len) noexcept {

@@ -54,7 +54,7 @@ class Fd {
 // --- fault-injected syscall wrappers ---------------------------------------
 
 /// accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC)
-/// behind the "net.accept" fault point.
+/// behind the "net.accept" fault point; accepted sockets get TCP_NODELAY.
 int checked_accept(int listen_fd) noexcept;
 
 /// recv(fd, buf, len, 0) behind the "net.read" fault point.

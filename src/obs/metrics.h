@@ -73,10 +73,6 @@ class Gauge {
   }
   std::int64_t value() const noexcept { return value_.load(std::memory_order_relaxed); }
 
-  /// The raw cell, for embedders that update a gauge from code that must
-  /// not depend on obs:: (util::ThreadPool's queue-depth hook).
-  std::atomic<std::int64_t>& cell() noexcept { return value_; }
-
  private:
   std::atomic<std::int64_t> value_{0};
 };

@@ -8,6 +8,7 @@
 #include "data/dataset.h"
 #include "feat/featurize.h"
 #include "util/binary_io.h"
+#include "util/fault_injector.h"
 
 namespace noodle::serve {
 
@@ -80,17 +81,24 @@ DetectionService::DetectionService(std::shared_ptr<ModelRegistry> registry,
     : registry_(require_registry(std::move(registry))),
       default_model_(std::move(default_model)),
       config_(validate(config)),
-      lint_(config_.lint),
-      pool_(config_.workers),
-      dispatcher_([this] { dispatcher_loop(); }) {
+      lint_(config_.lint) {
   // Runs before any request can exist (submit() requires a constructed
   // service), so the hot paths always see registered metric handles.
   register_metrics();
-  pool_.attach_gauges(&pool_queue_depth_->cell(), &pool_in_flight_->cell());
   if (!config_.disk_cache.directory.empty()) {
     // After register_metrics() and before any request: the disk tier scans
     // its directory here, off the serving path (there is none yet).
     disk_cache_ = std::make_unique<PersistentVerdictCache>(config_.disk_cache);
+  }
+  // Last, so a throw above leaves no thread to join.
+  workers_.reserve(config_.workers);
+  try {
+    for (std::size_t i = 0; i < config_.workers; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    stop_workers();
+    throw;
   }
 }
 
@@ -113,10 +121,8 @@ void DetectionService::register_metrics() {
         "Submit-time verdict-cache probes by outcome; outcomes sum to requests.",
         {{"outcome", kProbeNames[probe]}});
   }
-  pool_queue_depth_ = &metrics_.gauge("noodle_pool_queue_depth",
-                                      "Batches queued on the scan thread pool.");
-  pool_in_flight_ = &metrics_.gauge("noodle_pool_inflight",
-                                    "Batches executing on the scan thread pool.");
+  batches_in_flight_ = &metrics_.gauge("noodle_pool_inflight",
+                                       "Batches the service workers are scanning.");
 }
 
 DetectionService::ModelCounters& DetectionService::model_counters(const std::string& name) {
@@ -174,16 +180,18 @@ DetectionService::DetectionService(const std::filesystem::path& snapshot,
                                    ServiceConfig config)
     : DetectionService(single_model_registry(snapshot), kDefaultModelName, config) {}
 
-DetectionService::~DetectionService() {
+DetectionService::~DetectionService() { stop_workers(); }
+
+void DetectionService::stop_workers() {
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     stopping_ = true;
   }
   queue_cv_.notify_all();
-  dispatcher_.join();
-  // pool_ destruction drains any batches still in flight; promises for
-  // requests queued after stopping_ never exist because submit() rejects
-  // them up front.
+  // Workers answer everything still queued before they return; promises
+  // for requests queued after stopping_ never exist because submit()
+  // rejects them up front.
+  for (std::thread& worker : workers_) worker.join();
 }
 
 std::future<core::DetectionReport> DetectionService::submit(std::string verilog_source) {
@@ -221,9 +229,9 @@ std::future<core::DetectionReport> DetectionService::submit_request(
   const std::uint64_t submit_nanos = obs::now_nanos();
   const std::uint64_t trace_id = obs::next_trace_id();
   const std::uint64_t hash = util::fnv1a64(source);
-  // Sampling the lint flag here (not at dispatch) makes set_lint() order
+  // Sampling the lint flag here (not at pickup) makes set_lint() order
   // deterministically with submission: a toggle affects exactly the
-  // requests submitted after it, however the dispatcher batches them.
+  // requests submitted after it, however the workers batch them.
   const bool want_lint = lint_.load(std::memory_order_relaxed);
   ModelCounters& counters = model_counters(spec.name);
   counters.requests->inc();
@@ -382,7 +390,7 @@ void DetectionService::render_prometheus(std::ostream& os) {
       .set(static_cast<std::int64_t>(cache_size()));
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
-    metrics_.gauge("noodle_dispatch_queue_depth", "Requests awaiting the dispatcher.")
+    metrics_.gauge("noodle_dispatch_queue_depth", "Requests waiting for a worker.")
         .set(static_cast<std::int64_t>(queue_.size()));
     metrics_.gauge("noodle_requests_outstanding", "Submitted but unanswered requests.")
         .set(static_cast<std::int64_t>(outstanding_));
@@ -463,23 +471,15 @@ std::size_t DetectionService::cache_size() const {
   return cache_.size();
 }
 
-void DetectionService::dispatcher_loop() {
+void DetectionService::worker_loop() {
   for (;;) {
     std::vector<Request> batch;
     {
       std::unique_lock<std::mutex> lock(queue_mutex_);
       queue_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (stopping_) return;
-        continue;
-      }
-      if (!stopping_ && queue_.size() < config_.max_batch &&
-          config_.batch_linger.count() > 0) {
-        // Linger briefly so concurrent callers coalesce into one batch.
-        queue_cv_.wait_for(lock, config_.batch_linger, [this] {
-          return stopping_ || queue_.size() >= config_.max_batch;
-        });
-      }
+      if (queue_.empty()) return;  // stopping, and nothing left to answer
+      // An idle worker scans what is waiting now; a batch grows only by
+      // what queued while every worker was busy.
       const std::size_t take = std::min(config_.max_batch, queue_.size());
       batch.reserve(take);
       for (std::size_t i = 0; i < take; ++i) {
@@ -487,10 +487,12 @@ void DetectionService::dispatcher_loop() {
         queue_.pop_front();
       }
     }
-    pool_.submit(
-        [this, shared = std::make_shared<std::vector<Request>>(std::move(batch))] {
-          process_batch(std::move(*shared));
-        });
+    batches_in_flight_->add(1);
+    if (util::FaultInjector* faults = util::FaultInjector::active()) {
+      faults->reach("serve.batch");
+    }
+    process_batch(std::move(batch));
+    batches_in_flight_->sub(1);
   }
 }
 
@@ -562,7 +564,7 @@ void DetectionService::process_group(const std::string& group_label,
   std::vector<std::vector<lint::OwnedFinding>> findings;  // parallel to samples
   std::vector<std::pair<std::size_t, std::exception_ptr>> rejected;
   samples.reserve(group.size());
-  // The dispatcher's pool threads are long-lived, so each worker's
+  // The service's worker threads are long-lived, so each worker's
   // thread-local FeaturizeWorkspace (and LintWorkspace) reaches a warm
   // steady state and processes request sources with zero front-end heap
   // allocations. The lint pass must run right after each featurize, while
@@ -602,8 +604,8 @@ void DetectionService::process_group(const std::string& group_label,
       reports = handle->model().scan_many(samples, /*threads=*/1);
       scan_nanos = span.finish();
     } catch (...) {
-      // A batch-level failure must not leave futures dangling (a task
-      // escaping into the pool would terminate the process).
+      // A batch-level failure must not leave futures dangling (an
+      // exception escaping a worker thread would terminate the process).
       batch_error = std::current_exception();
     }
   }

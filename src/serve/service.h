@@ -5,10 +5,13 @@
 //
 //   * requests enter through an async submit() returning a future, naming a
 //     model as "name" or "name@version" (or using the service default);
-//   * a dispatcher coalesces concurrent requests into scan_many batches
-//     executed on a util::ThreadPool; each batch group resolves its
-//     registry handle ONCE, so every verdict in a group comes from exactly
-//     one generation even while reload_from() swaps models live;
+//   * `workers` threads pull from the request queue: each takes up to
+//     max_batch of whatever is waiting and scans it itself, so a request
+//     that finds a worker idle is scanned at once, and batches form only
+//     from what queued while every worker was busy; each batch group
+//     resolves its registry handle ONCE, so every verdict in a group comes
+//     from exactly one generation even while reload_from() swaps models
+//     live;
 //   * verdicts are memoized in an LRU cache keyed by (generation id,
 //     fnv1a64(source)) — cached verdicts from different generations of the
 //     same name can never collide, and stale generations simply age out;
@@ -45,7 +48,6 @@
 #include "obs/trace.h"
 #include "serve/disk_cache.h"
 #include "serve/registry.h"
-#include "util/thread_pool.h"
 
 namespace noodle::serve {
 
@@ -54,10 +56,10 @@ namespace noodle::serve {
 inline constexpr const char* kDefaultModelName = "default";
 
 /// Fails a request whose deadline expired before any detector scanned it:
-/// the dispatcher sweeps expired requests out of a batch group BEFORE the
-/// (expensive) featurize+scan, so under overload the service sheds exactly
-/// the work nobody is waiting for anymore instead of scanning into the
-/// void. Carried by the request's future like every other failure.
+/// the worker that picks a batch up sweeps expired requests out of it
+/// BEFORE the (expensive) featurize+scan, so under overload the service
+/// sheds exactly the work nobody is waiting for anymore instead of scanning
+/// into the void. Carried by the request's future like every other failure.
 class DeadlineError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -67,22 +69,19 @@ class DeadlineError : public std::runtime_error {
 /// options reproduce the plain submit() behaviour exactly.
 struct SubmitOptions {
   /// Relative deadline measured from submit; zero = none. Expiry fails the
-  /// future with DeadlineError. The deadline is enforced at batch dispatch
-  /// (the latest point where skipping the scan still saves the work); a
-  /// request already inside scan_many runs to completion.
+  /// future with DeadlineError. The deadline is enforced when a worker
+  /// picks the request up (the latest point where skipping the scan still
+  /// saves the work); a request already inside scan_many runs to completion.
   std::chrono::milliseconds deadline{0};
 };
 
 struct ServiceConfig {
-  /// Most requests coalesced into one detector batch.
+  /// Most queued requests one worker takes into one detector batch.
   std::size_t max_batch = 16;
-  /// How long the dispatcher lingers for more arrivals once a request is
-  /// pending, before dispatching a partial batch.
-  std::chrono::milliseconds batch_linger{2};
   /// LRU verdict-cache capacity in entries; 0 disables caching.
   std::size_t cache_capacity = 4096;
-  /// Worker threads executing detector batches. Each batch is scanned on
-  /// the worker that dispatched it (scan_many with one thread).
+  /// Worker threads pulling from the request queue. Each batch is scanned
+  /// on the worker that took it (scan_many with one thread).
   std::size_t workers = 1;
   /// Run the lint:: static-analysis pass on every scanned source and attach
   /// the findings to the report (verdicts are unaffected). Toggleable at
@@ -116,7 +115,7 @@ struct ServiceStats {
   std::uint64_t parse_failures = 0; ///< requests rejected with ParseError
   std::uint64_t model_misses = 0;   ///< requests naming an unknown model/version
   std::uint64_t deadline_timeouts = 0;  ///< requests failed with DeadlineError unscanned
-  std::uint64_t batches = 0;        ///< single-generation batch groups dispatched
+  std::uint64_t batches = 0;        ///< single-generation batch groups scanned
   std::uint64_t max_batch_size = 0; ///< largest coalesced batch group so far
   std::uint64_t scan_micros = 0;    ///< wall time inside detector batches
   std::uint64_t lint_runs = 0;      ///< sources the static-analysis pass covered
@@ -170,13 +169,14 @@ class DetectionService {
   std::future<core::DetectionReport> submit(std::string verilog_source);
 
   /// Same, naming a model as "name" or "name@version" (version omitted =
-  /// latest at batch-dispatch time). Throws RegistryError only on a
-  /// malformed spec; an unknown model fails the future, not the call.
+  /// latest when a worker picks the request up). Throws RegistryError
+  /// only on a malformed spec; an unknown model fails the future, not the
+  /// call.
   std::future<core::DetectionReport> submit(const std::string& model_spec,
                                             std::string verilog_source);
 
-  /// submit() with per-request options; a deadline that expires before
-  /// batch dispatch fails the future with DeadlineError.
+  /// submit() with per-request options; a deadline that expires before a
+  /// worker picks the request up fails the future with DeadlineError.
   std::future<core::DetectionReport> submit(const std::string& model_spec,
                                             std::string verilog_source,
                                             SubmitOptions options);
@@ -187,8 +187,8 @@ class DetectionService {
 
   /// Invoked exactly once per submit_async() request with the READY future
   /// (get() returns or throws immediately — no completion ever blocks in
-  /// it). Runs on whichever thread finished the request: a pool worker for
-  /// scanned verdicts, the submitting thread for cache hits and
+  /// it). Runs on whichever thread finished the request: a service worker
+  /// for scanned verdicts, the submitting thread for cache hits and
   /// shutdown rejections. Event-loop callers marshal back with post().
   using CompletionFn = std::function<void(std::future<core::DetectionReport>)>;
 
@@ -196,7 +196,7 @@ class DetectionService {
   /// same semantics as submit() — including the immediate cache-hit path —
   /// but the verdict is delivered to `on_complete` instead of a returned
   /// future, so an event loop never parks a thread on future.get(). A
-  /// request past `options.deadline` at batch dispatch fails with
+  /// request past `options.deadline` at worker pickup fails with
   /// DeadlineError instead of being scanned. During shutdown the callback
   /// still fires (with the shutdown error) rather than throwing.
   void submit_async(std::string verilog_source, SubmitOptions options,
@@ -219,7 +219,7 @@ class DetectionService {
   /// The service's counter store: per-model request counters
   /// (noodle_requests_total{model=...} and the rest of ServiceStats),
   /// per-stage latency histograms (noodle_stage_duration_seconds{stage=...}),
-  /// cache-probe outcome counters and thread-pool gauges, all updated in
+  /// cache-probe outcome counters and the busy-worker gauge, all updated in
   /// place by the request path. net::ScanServer and SnapshotStore count
   /// here too, and embedders may register their own metrics.
   obs::MetricsRegistry& metrics() noexcept { return metrics_; }
@@ -232,7 +232,7 @@ class DetectionService {
   void render_prometheus(std::ostream& os);
 
   /// The live registry: publish/reload/retire take effect on the next
-  /// dispatched batch without pausing the service.
+  /// batch a worker takes, without pausing the service.
   ModelRegistry& registry() noexcept { return *registry_; }
   const ModelRegistry& registry() const noexcept { return *registry_; }
 
@@ -246,7 +246,7 @@ class DetectionService {
   /// Runtime toggle for the static-analysis pass (the `!lint` control line
   /// in noodled). Each request samples the flag at submit time, so the
   /// toggle orders deterministically with request submission: everything
-  /// submitted before it keeps the old setting even if batching coalesces
+  /// submitted before it keeps the old setting even if a worker batches
   /// them with later requests.
   void set_lint(bool enabled) noexcept { lint_.store(enabled, std::memory_order_relaxed); }
   bool lint_enabled() const noexcept { return lint_.load(std::memory_order_relaxed); }
@@ -363,7 +363,14 @@ class DetectionService {
   std::future<core::DetectionReport> submit_request(ModelSpec spec, std::string source,
                                                     SubmitOptions options,
                                                     CompletionFn on_complete);
-  void dispatcher_loop();
+  /// One worker thread: blocks until requests are queued, takes up to
+  /// max_batch of them, scans them, repeats; returns once stopping with
+  /// an empty queue. Each batch passes the "serve.batch" util::FaultInjector
+  /// crash point after leaving the queue and before its pickup time is
+  /// stamped (a test holds the worker there to keep work in flight).
+  void worker_loop();
+  /// Stops and joins the workers; the queue is answered first.
+  void stop_workers();
   void process_batch(std::vector<Request> batch);
   void process_group(const std::string& group_label, std::vector<Request> group);
   CacheProbe cache_lookup(const CacheKey& key, const std::string& source,
@@ -404,25 +411,25 @@ class DetectionService {
   std::unordered_map<CacheKey, CacheEntry, CacheKeyHash> cache_;
 
   /// Disk tier under the LRU; null when not configured. Declared before
-  /// pool_/dispatcher_ because their threads store into it; its own writer
-  /// thread never touches service state, so destruction order is safe.
+  /// workers_ because their threads store into it; its own writer thread
+  /// never touches service state, so destruction order is safe.
   std::unique_ptr<PersistentVerdictCache> disk_cache_;
 
-  // Declared before pool_/dispatcher_ so the gauges and histograms outlive
-  // every thread that records into them (members destroy in reverse order).
+  // Declared before workers_ so the gauges and histograms outlive every
+  // thread that records into them (members destroy in reverse order).
   obs::MetricsRegistry metrics_;
   std::array<obs::Histogram*, kStageCount> stage_hist_{};
   std::array<obs::Counter*, static_cast<std::size_t>(CacheProbe::kProbeCount)>
       probe_counters_{};
-  obs::Gauge* pool_queue_depth_ = nullptr;
-  obs::Gauge* pool_in_flight_ = nullptr;
+  obs::Gauge* batches_in_flight_ = nullptr;
   /// Model cells by name. The mutex guards membership only: the counts
   /// are atomics in metrics_.
   mutable std::mutex counters_mutex_;
   std::map<std::string, std::unique_ptr<ModelCounters>> counters_;
 
-  util::ThreadPool pool_;
-  std::thread dispatcher_;
+  /// Started last in the constructor and joined first in the destructor:
+  /// the workers use every member above.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace noodle::serve

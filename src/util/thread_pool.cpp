@@ -37,7 +37,6 @@ void ThreadPool::submit(std::function<void()> task) {
     std::lock_guard<std::mutex> lock(mutex_);
     if (shutdown_) throw std::runtime_error("ThreadPool::submit: pool is shut down");
     queue_.push(std::move(task));
-    publish_gauges();
   }
   work_available_.notify_one();
 }
@@ -50,27 +49,6 @@ std::size_t ThreadPool::queue_depth() const {
 std::size_t ThreadPool::in_flight() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return in_flight_;
-}
-
-void ThreadPool::attach_gauges(std::atomic<std::int64_t>* queue_depth,
-                               std::atomic<std::int64_t>* in_flight) noexcept {
-  std::lock_guard<std::mutex> lock(mutex_);
-  queue_depth_gauge_ = queue_depth;
-  in_flight_gauge_ = in_flight;
-  publish_gauges();
-}
-
-void ThreadPool::publish_gauges() {
-  // Called with mutex_ held; relaxed stores — readers only want a recent
-  // value, and the mutex already orders the transitions.
-  if (queue_depth_gauge_ != nullptr) {
-    queue_depth_gauge_->store(static_cast<std::int64_t>(queue_.size()),
-                              std::memory_order_relaxed);
-  }
-  if (in_flight_gauge_ != nullptr) {
-    in_flight_gauge_->store(static_cast<std::int64_t>(in_flight_),
-                            std::memory_order_relaxed);
-  }
 }
 
 void ThreadPool::wait_idle() {
@@ -88,13 +66,11 @@ void ThreadPool::worker_loop() {
       task = std::move(queue_.front());
       queue_.pop();
       ++in_flight_;
-      publish_gauges();
     }
     task();
     {
       std::lock_guard<std::mutex> lock(mutex_);
       --in_flight_;
-      publish_gauges();
       if (queue_.empty() && in_flight_ == 0) idle_.notify_all();
     }
   }

@@ -8,10 +8,8 @@
 //   * a requested size of 1 (or a single-item range) runs inline on the
 //     calling thread, so the serial baseline has zero threading overhead.
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <queue>
@@ -47,20 +45,8 @@ class ThreadPool {
   /// Tasks currently executing.
   std::size_t in_flight() const;
 
-  /// Observability hook: when attached, the pool keeps the cells in sync
-  /// with queue depth and in-flight count on every transition (relaxed
-  /// stores under the pool mutex — no extra synchronization, no
-  /// allocation). Cells are raw atomics rather than obs::Gauge so util::
-  /// stays free of higher-layer includes; obs::Gauge::cell() adapts.
-  /// Either pointer may be null. Attach before submitting work; the cells
-  /// must outlive the pool.
-  void attach_gauges(std::atomic<std::int64_t>* queue_depth,
-                     std::atomic<std::int64_t>* in_flight) noexcept;
-
  private:
   void worker_loop();
-  /// Pushes queue depth / in-flight into the attached cells (mutex held).
-  void publish_gauges();
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> queue_;
@@ -69,8 +55,6 @@ class ThreadPool {
   std::condition_variable idle_;
   std::size_t in_flight_ = 0;
   bool shutdown_ = false;
-  std::atomic<std::int64_t>* queue_depth_gauge_ = nullptr;
-  std::atomic<std::int64_t>* in_flight_gauge_ = nullptr;
 };
 
 /// Resolves a requested thread count: 0 -> hardware_concurrency, and never

@@ -1,11 +1,14 @@
 // Tests for the TCP transport: net::EventLoop semantics (timer wheel,
-// cross-thread post, signal fan-in), and net::ScanServer end-to-end over
-// real loopback sockets — bit-identical serving vs direct submits, strict
-// per-connection FIFO ordering, reload-under-load generation consistency,
-// BUSY admission control at 4x overload, deadline TIMEOUT propagation,
-// idle-client eviction, and the graceful-drain state machine.
+// cross-thread post, signal fan-in), Nagle off on accepted sockets, and
+// net::ScanServer end-to-end over real loopback sockets — bit-identical
+// serving vs direct submits, strict per-connection FIFO ordering,
+// reload-under-load generation consistency, BUSY admission control at 4x
+// overload, deadline TIMEOUT propagation, idle-client eviction, and the
+// graceful-drain state machine.
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 
@@ -16,6 +19,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <future>
 #include <optional>
 #include <string>
 #include <thread>
@@ -29,6 +34,7 @@
 #include "net/socket.h"
 #include "serve/service.h"
 #include "util/csv.h"
+#include "worker_latch.h"
 
 namespace noodle {
 namespace {
@@ -103,6 +109,25 @@ TEST(EventLoopTest, WatchedSignalsDeliverAsLoopCallbacks) {
   net::SignalPipe::instance().unhook(SIGUSR1);
 }
 
+// --- sockets -----------------------------------------------------------------
+
+TEST(SocketTest, AcceptedSocketsHaveNagleOff) {
+  std::uint16_t port = 0;
+  std::error_code ec;
+  net::Fd listener = net::listen_tcp("127.0.0.1", port, 4, ec);
+  ASSERT_TRUE(listener) << ec.message();
+  net::Fd client = net::connect_tcp("127.0.0.1", port, ec);
+  ASSERT_TRUE(client) << ec.message();
+  struct pollfd pfd = {listener.get(), POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 5000), 1);
+  net::Fd accepted(net::checked_accept(listener.get()));
+  ASSERT_TRUE(accepted) << std::strerror(errno);
+  int nodelay = 0;
+  socklen_t len = sizeof nodelay;
+  ASSERT_EQ(::getsockopt(accepted.get(), IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0);
+  EXPECT_EQ(nodelay, 1);
+}
+
 // --- socket test plumbing ----------------------------------------------------
 
 bool send_all(int fd, const std::string& data) {
@@ -114,6 +139,16 @@ bool send_all(int fd, const std::string& data) {
       return false;
     }
     off += static_cast<std::size_t>(put);
+  }
+  return true;
+}
+
+/// Polls `done` every millisecond for up to 10 s; true once it holds.
+bool wait_for(const std::function<bool()>& done) {
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(1ms);
   }
   return true;
 }
@@ -488,8 +523,8 @@ TEST_F(ScanServerFixture, ReloadStormUnderLoadKeepsEveryVerdictGenerationTrue) {
 TEST_F(ScanServerFixture, OverloadAtFourTimesAdmissionLimitShedsExactlyTheExcess) {
   serve::ServiceConfig service_config;
   service_config.cache_capacity = 0;
-  service_config.batch_linger = 300ms;  // keep admitted requests in flight
   service_config.max_batch = 16;
+  WorkerLatch latch;  // keeps admitted requests in flight
   serve::DetectionService service(registry_with_a(), "m", service_config);
   net::ServerConfig config;
   config.max_inflight = 4;
@@ -500,6 +535,9 @@ TEST_F(ScanServerFixture, OverloadAtFourTimesAdmissionLimitShedsExactlyTheExcess
   std::string burst;
   for (int i = 0; i < 16; ++i) burst += (*files_)[i % files_->size()] + "\n";
   ASSERT_TRUE(send_all(client.fd.get(), burst));
+  ASSERT_TRUE(latch.wait_held());
+  ASSERT_TRUE(wait_for([&] { return harness.server.stats().requests == 16; }));
+  latch.release();
 
   // FIFO: requests 0-3 were admitted (verdicts), 4-15 shed (BUSY) — and
   // every one of the 16 gets a line; nothing hangs.
@@ -522,7 +560,7 @@ TEST_F(ScanServerFixture, OverloadAtFourTimesAdmissionLimitShedsExactlyTheExcess
 TEST_F(ScanServerFixture, ExpiredDeadlinesAnswerTimeoutWithoutScanning) {
   serve::ServiceConfig service_config;
   service_config.cache_capacity = 0;
-  service_config.batch_linger = 250ms;
+  WorkerLatch latch;  // holds the first expired request before its pickup
   serve::DetectionService service(registry_with_a(), "m", service_config);
   ServerHarness harness(service, net::ServerConfig{});
 
@@ -531,13 +569,15 @@ TEST_F(ScanServerFixture, ExpiredDeadlinesAnswerTimeoutWithoutScanning) {
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(client.send_line("~deadline=1 " + (*files_)[0]));
   }
+  ASSERT_TRUE(latch.wait_held());
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(client.read_line(),
               net::protocol::status_line("TIMEOUT", "m", (*files_)[0]));
   }
-  // A deadline-free request after the storm still scans normally, and its
-  // dispatch sweeps the expired three out of the queue unscanned.
+  // A deadline-free request after the storm still scans normally, and the
+  // released worker sweeps the expired three out of the queue unscanned.
   ASSERT_TRUE(client.send_line((*files_)[1]));
+  latch.release();
   EXPECT_EQ(client.read_line(), (*prefix_a_)[1] + "m@1\t" + (*files_)[1]);
   EXPECT_EQ(service.stats().deadline_timeouts, 3u);
   EXPECT_EQ(harness.server.stats().timeouts, 3u);
@@ -569,7 +609,7 @@ TEST_F(ScanServerFixture, IdleConnectionsAreEvictedByTheWatchdog) {
 TEST_F(ScanServerFixture, DrainAnswersEveryInflightRequestThenClosesAndStopsLoop) {
   serve::ServiceConfig service_config;
   service_config.cache_capacity = 0;
-  service_config.batch_linger = 150ms;
+  WorkerLatch latch;  // keeps the five requests in flight until the drain began
   serve::DetectionService service(registry_with_a(), "m", service_config);
   ServerHarness harness(service, net::ServerConfig{});
 
@@ -579,6 +619,15 @@ TEST_F(ScanServerFixture, DrainAnswersEveryInflightRequestThenClosesAndStopsLoop
   for (int i = 0; i < 5; ++i) burst += (*files_)[static_cast<std::size_t>(i)] + "\n";
   burst += "!drain\n";
   ASSERT_TRUE(send_all(client.fd.get(), burst));
+  ASSERT_TRUE(latch.wait_held());
+  // draining() is loop-thread state: read it there. The drain cannot
+  // finish, and stop the loop, while the worker is held.
+  ASSERT_TRUE(wait_for([&] {
+    std::promise<bool> draining;
+    harness.loop.post([&] { draining.set_value(harness.server.draining()); });
+    return draining.get_future().get();
+  }));
+  latch.release();
 
   // All five in-flight verdicts land (drain never abandons admitted work),
   // then the drain acknowledgment, then EOF.

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -16,6 +17,7 @@
 #include "serve/service.h"
 #include "serve/snapshot.h"
 #include "util/binary_io.h"
+#include "worker_latch.h"
 
 namespace noodle {
 namespace {
@@ -324,6 +326,41 @@ TEST_F(DetectorSnapshot, ServiceMatchesSequentialScansUnderConcurrency) {
   EXPECT_EQ(stats.parse_failures, 0u);
 }
 
+TEST_F(DetectorSnapshot, IdleServiceScansWithoutQueueWait) {
+  // A request that finds the worker idle is picked up at once; it does not
+  // wait for others to batch with.
+  serve::DetectionService service(core::NoodleDetector(detector_->fitted_model()),
+                                  serve::ServiceConfig{});
+  std::vector<std::uint64_t> waits;
+  for (std::size_t i = 0; i < 20; ++i) {
+    const core::DetectionReport report = service.scan((*corpus_)[i].verilog);
+    ASSERT_FALSE(report.timing.from_cache);
+    waits.push_back(report.timing.queue_wait_us);
+  }
+  std::nth_element(waits.begin(), waits.begin() + 10, waits.end());
+  EXPECT_LT(waits[10], 1000u);
+}
+
+TEST_F(DetectorSnapshot, BusyWorkerBatchesWhatQueuedMeanwhile) {
+  serve::ServiceConfig config;
+  config.max_batch = 16;
+  WorkerLatch latch;
+  serve::DetectionService service(core::NoodleDetector(detector_->fitted_model()), config);
+
+  std::vector<std::future<core::DetectionReport>> futures;
+  for (std::size_t i = 0; i < 48; ++i) {
+    futures.push_back(service.submit((*corpus_)[i].verilog));
+  }
+  // The worker holds at most 16 of them; at least 32 queue behind it.
+  ASSERT_TRUE(latch.wait_held());
+  latch.release();
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    expect_identical_report(futures[i].get(),
+                            detector_->scan_verilog((*corpus_)[i].verilog));
+  }
+  EXPECT_EQ(service.stats().max_batch_size, 16u);
+}
+
 TEST_F(DetectorSnapshot, ServiceCacheHitsDoNotChangeResults) {
   serve::ServiceConfig config;
   config.max_batch = 8;
@@ -586,8 +623,8 @@ TEST_F(DetectorSnapshot, ReportsCarryTimingAndDistinctTraceIds) {
   EXPECT_FALSE(b.timing.from_cache);
   EXPECT_TRUE(hit.timing.from_cache);
 
-  // Scanned requests: the total spans submit -> resolve, so it dominates
-  // the queue wait (batch linger alone is ~2ms).
+  // Scanned requests: the total spans submit -> resolve, so it covers the
+  // queue wait.
   EXPECT_GT(a.timing.total_us, 0u);
   EXPECT_GE(a.timing.total_us, a.timing.queue_wait_us);
   EXPECT_GE(b.timing.total_us, b.timing.queue_wait_us);

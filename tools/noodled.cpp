@@ -14,8 +14,8 @@
 //   designs/foo.v          scan with the default model
 //   canary:designs/foo.v   scan with model "canary" (latest version)
 //   canary@2:designs/foo.v scan with a pinned version
-//   ~deadline=250 PATH     answer TIMEOUT instead of scanning if the
-//                          verdict cannot dispatch within 250 ms
+//   ~deadline=250 PATH     answer TIMEOUT instead of scanning if no worker
+//                          picks the request up within 250 ms
 //   ~inline module m; ...  body is one-line Verilog source, not a path
 //   !reload NAME=PATH      hot-swap: load PATH and publish it as the next
 //                          version of NAME — in-flight scans are neither
@@ -658,7 +658,7 @@ int run_stdin_mode(const Options& options, serve::DetectionService& service,
   };
 
   // Blocking backpressure bound: never hold more in-flight requests than a
-  // few dispatch rounds' worth, so arbitrarily long input stays bounded.
+  // few full batches per worker, so arbitrarily long input stays bounded.
   const std::size_t max_pending =
       std::max<std::size_t>(256, options.batch * options.workers * 4);
   std::string line;
