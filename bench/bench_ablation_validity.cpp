@@ -41,7 +41,7 @@ int main() {
                "classes; lower alpha => more uncertain (two-label) regions.\n"
                "note: fused p-values via Fisher assume cross-modality "
                "independence, so mild deviations are expected (documented in "
-               "EXPERIMENTS.md).\n";
+               "DESIGN.md §2).\n";
   bench::write_table("ablation_validity", csv);
   return 0;
 }

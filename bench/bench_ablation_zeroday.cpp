@@ -5,9 +5,9 @@
 #include <array>
 
 #include "bench_common.h"
+#include "core/detector.h"
 #include "data/dataset.h"
-#include "fusion/models.h"
-#include "gan/augment.h"
+#include "metrics/classification.h"
 #include "metrics/roc.h"
 #include "util/thread_pool.h"
 
@@ -18,6 +18,7 @@ namespace {
 struct ZeroDayResult {
   double auc;
   double sensitivity_at_half;
+  std::string served;
 };
 
 ZeroDayResult run_holdout(trojan::TriggerKind held_out, std::uint64_t seed) {
@@ -38,50 +39,25 @@ ZeroDayResult run_holdout(trojan::TriggerKind held_out, std::uint64_t seed) {
   test_spec.seed = seed + 1000;
   test_spec.allowed_triggers = {held_out};
 
-  data::FeatureDataset train_all = data::featurize_corpus(data::build_corpus(train_spec));
+  core::DetectorConfig config;
+  config.seed = seed;
+  core::NoodleDetector detector(config);
+  detector.fit(data::build_corpus(train_spec));
+
   const data::FeatureDataset test = data::featurize_corpus(data::build_corpus(test_spec));
-
-  util::Rng rng(seed);
-  const data::SplitIndices split =
-      data::stratified_split(train_all.labels(), 0.7, 0.29, rng);
-  data::FeatureDataset train = data::subset(train_all, split.train);
-  const data::FeatureDataset cal = data::subset(train_all, split.cal);
-
-  gan::GanConfig gan_config;
-  gan_config.epochs = 120;
-  gan_config.seed = seed + 7;
-  train = gan::augment_with_gan(train, 250, gan_config);
-
-  fusion::FusionConfig fusion_config;
-  fusion_config.train.epochs = 60;
-  fusion_config.train.patience = 12;
-  fusion_config.seed = seed + 13;
-  fusion::LateFusionModel model(fusion_config);
-  model.fit(train, cal);
-
   std::vector<double> probs;
-  for (const auto& sample : test.samples) {
-    probs.push_back(model.predict(sample).probability);
+  for (const core::DetectionReport& report : detector.scan_many(test.samples, 1)) {
+    probs.push_back(report.probability);
   }
   const auto labels = test.labels();
-  ZeroDayResult result{};
-  result.auc = metrics::roc_auc(probs, labels);
-  std::size_t hits = 0, positives = 0;
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    if (labels[i] == 1) {
-      ++positives;
-      if (probs[i] > 0.5) ++hits;
-    }
-  }
-  result.sensitivity_at_half =
-      positives == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(positives);
-  return result;
+  return {metrics::roc_auc(probs, labels),
+          metrics::confusion_at(probs, labels).sensitivity(), detector.winning_fusion()};
 }
 
 }  // namespace
 
 int main() {
-  bench::banner("Ablation A5: zero-day trigger family hold-out (late fusion)");
+  bench::banner("Ablation A5: zero-day trigger family hold-out (served winner)");
 
   // Each hold-out trains its own models from its own seed chain, so the
   // three of them fan across cores with bit-identical results.
@@ -93,17 +69,19 @@ int main() {
                      [&](std::size_t i) { results[i] = run_holdout(kinds[i], 11); });
 
   util::CsvTable csv;
-  csv.header = {"held_out_trigger", "auc_on_unseen", "sensitivity_at_0.5"};
-  std::cout << "held-out trigger   AUC on unseen family   sensitivity@0.5\n";
+  csv.header = {"held_out_trigger", "auc_on_unseen", "sensitivity_at_0.5", "served"};
+  std::cout << "held-out trigger   AUC on unseen family   sensitivity@0.5   served\n";
   for (std::size_t i = 0; i < kinds.size(); ++i) {
     const auto kind = kinds[i];
     const ZeroDayResult& result = results[i];
     const std::string name = trojan::to_string(kind);
     std::cout << name << std::string(19 - name.size(), ' ')
               << util::format_fixed(result.auc, 3) << "                  "
-              << util::format_fixed(result.sensitivity_at_half, 3) << "\n";
+              << util::format_fixed(result.sensitivity_at_half, 3) << "             "
+              << result.served << "\n";
     csv.rows.push_back({name, util::format_fixed(result.auc, 4),
-                        util::format_fixed(result.sensitivity_at_half, 4)});
+                        util::format_fixed(result.sensitivity_at_half, 4),
+                        result.served});
   }
   std::cout << "\nexpected: above-chance detection of unseen trigger families "
                "(shared structural fingerprints), below the in-distribution "

@@ -3,6 +3,9 @@
 // we resample the whole experiment over independent seeds/splits and render
 // the distribution as box plots with the mean +/- 95% CI.
 
+#include <charconv>
+#include <cstring>
+
 #include "bench_common.h"
 #include "util/ascii_plot.h"
 #include "util/stats.h"
@@ -10,7 +13,16 @@
 using namespace noodle;
 
 int main(int argc, char** argv) {
-  const std::size_t runs = argc > 1 ? std::stoul(argv[1]) : 12;
+  std::size_t runs = 12;
+  if (argc > 1) {
+    const char* end = argv[1] + std::strlen(argv[1]);
+    const auto [ptr, ec] = std::from_chars(argv[1], end, runs);
+    if (ec != std::errc() || ptr != end || runs == 0) {
+      std::cerr << "usage: " << argv[0]
+                << " [RUNS]  (RUNS: positive integer, default 12)\n";
+      return 2;
+    }
+  }
   bench::banner("Fig. 2: Brier score distribution with mean interval (" +
                 std::to_string(runs) + " runs)");
 
@@ -22,7 +34,7 @@ int main(int argc, char** argv) {
   }
   const std::vector<core::ExperimentResult> results = bench::run_sweep(configs);
 
-  std::vector<double> graph, tabular, early, late;
+  std::vector<double> graph, tabular, early, late, winner;
   util::CsvTable csv;
   csv.header = {"seed", "graph", "tabular", "early_fusion", "late_fusion", "winner"};
   for (std::size_t run = 0; run < runs; ++run) {
@@ -31,6 +43,7 @@ int main(int argc, char** argv) {
     tabular.push_back(result.tabular_only.brier);
     early.push_back(result.early_fusion.brier);
     late.push_back(result.late_fusion.brier);
+    winner.push_back(result.winning_arm().brier);
     csv.rows.push_back({std::to_string(configs[run].seed),
                         util::format_fixed(result.graph_only.brier, 4),
                         util::format_fixed(result.tabular_only.brier, 4),
@@ -52,13 +65,18 @@ int main(int argc, char** argv) {
   std::cout << "late fusion:  mean " << util::format_fixed(sl.mean, 4) << " +/- "
             << util::format_fixed(sl.ci95_half_width, 4) << " (95% CI), paper 0.1589\n";
 
-  std::size_t late_wins = 0;
+  std::size_t late_wins = 0, winner_beats_graph = 0;
   for (std::size_t i = 0; i < runs; ++i) {
     if (late[i] <= early[i]) ++late_wins;
+    if (winner[i] < graph[i]) ++winner_beats_graph;
   }
   std::cout << "late fusion wins " << late_wins << "/" << runs
             << " runs (paper: neither fusion deterministically superior; "
                "Algorithm 2 picks per-run winner)\n";
+  std::cout << "picked winner (by calibration Brier) beats graph-only in "
+            << winner_beats_graph << "/" << runs << " runs: mean Brier "
+            << util::format_fixed(util::summarize(winner).mean, 4) << " vs graph-only "
+            << util::format_fixed(util::summarize(graph).mean, 4) << "\n";
 
   bench::write_table("fig2_brier_distribution", csv);
   return 0;

@@ -50,9 +50,10 @@ int main(int argc, char** argv) {
   std::cout << "NOODLE quickstart: uncertainty-aware hardware Trojan detection\n\n";
 
   // 1. Train — or reload a previous fit. fit_default() builds a synthetic
-  //    corpus (12 design families, ~30% Trojan-infected), GAN-amplifies it,
-  //    trains both fusion arms, and picks the winner by calibration Brier
-  //    score; a snapshot makes that cost a one-time event.
+  //    corpus (12 design families, ~30% Trojan-infected), splits off a
+  //    calibration set, GAN-amplifies the training split, trains both
+  //    fusion arms, and picks the winner by calibration Brier score; a
+  //    snapshot makes that cost a one-time event.
   const std::filesystem::path snapshot = argc > 1 ? argv[1] : "";
   core::DetectorConfig config;
   config.seed = 42;

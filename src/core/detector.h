@@ -35,9 +35,11 @@ class NoodleDetector {
   NoodleDetector(NoodleDetector&&) noexcept;
   NoodleDetector& operator=(NoodleDetector&&) noexcept;
 
-  /// Trains on a labeled corpus: featurizes, GAN-amplifies, trains both
-  /// fusion arms, calibrates the ICPs, and selects the winning fusion by
-  /// Brier score on the calibration split. Publishes the result atomically.
+  /// Trains on a labeled corpus: featurizes, splits off calibration, then
+  /// core::fit_fusion (GAN-amplify the training split, fit both arms,
+  /// calibrate, pick the winner by calibration Brier). Publishes atomically.
+  /// Throws std::invalid_argument on an empty corpus or when a class below
+  /// the GAN target has fewer than 4 rows in the training split.
   void fit(const std::vector<data::CircuitSample>& corpus);
 
   /// Convenience: builds the default synthetic corpus and fits on it.

@@ -1,12 +1,14 @@
 #include "core/experiment.h"
 
+#include "gan/augment.h"
 #include "metrics/brier.h"
 
 namespace noodle::core {
 
 namespace {
 
-ArmResult evaluate_arm(fusion::ClassifierArm& arm, const data::FeatureDataset& test) {
+ArmResult evaluate_arm(const fusion::ClassifierArm& arm,
+                       const data::FeatureDataset& test) {
   ArmResult result;
   result.name = arm.name();
   const std::vector<fusion::Prediction> predictions = arm.predict_all(test);
@@ -56,51 +58,33 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     }
   }
 
-  // 3. Split first, then GAN-amplify the proper-training split only. The
-  // paper amplifies the whole dataset to 500 points before evaluation; we
-  // keep the amplification (the GAN is exercised identically) but hold the
-  // calibration and test sets to real circuits, because synthetic
-  // near-duplicates of training rows in the test set let the CNN score by
-  // memorization rather than detection (see EXPERIMENTS.md).
+  // 3-4. Split first; fit_fusion GAN-amplifies the training split only. The
+  // paper amplifies the whole dataset before evaluation; we hold calibration
+  // and test to real circuits, because synthetic near-duplicates of training
+  // rows let the CNN score by memorization (see DESIGN.md §2).
   util::Rng split_rng = rng.split();
   const data::SplitIndices split = data::stratified_split(
       dataset.labels(), config.train_fraction, config.cal_fraction, split_rng);
-  data::FeatureDataset train = data::subset(dataset, split.train);
   const data::FeatureDataset cal = data::subset(dataset, split.cal);
   const data::FeatureDataset test = data::subset(dataset, split.test);
+  const FusionFit fit = fit_fusion(config, data::subset(dataset, split.train), cal);
 
-  if (config.use_gan) {
-    gan::GanConfig gan_config = config.gan;
-    gan_config.seed = config.seed + 7;
-    train = gan::augment_with_gan(train, config.gan_target_per_class, gan_config);
-  }
-
-  // 4. Train all four arms with identical CNN hyperparameters.
-  fusion::FusionConfig fusion_config = config.fusion;
-  fusion_config.seed = config.seed + 13;
-
-  fusion::SingleModalityModel graph_model(fusion::Modality::Graph, fusion_config);
-  fusion::SingleModalityModel tabular_model(fusion::Modality::Tabular, fusion_config);
-  fusion::EarlyFusionModel early_model(fusion_config);
-  fusion::LateFusionModel late_model(fusion_config);
-
-  graph_model.fit(train, cal);
-  tabular_model.fit(train, cal);
-  early_model.fit(train, cal);
-  late_model.fit(train, cal);
+  const fusion::FusionConfig arm_config = config.arm_config();
+  fusion::SingleModalityModel graph_model(fusion::Modality::Graph, arm_config);
+  fusion::SingleModalityModel tabular_model(fusion::Modality::Tabular, arm_config);
+  graph_model.fit(fit.train, cal);
+  tabular_model.fit(fit.train, cal);
 
   // 5. Evaluate.
   ExperimentResult result;
   result.test_labels = test.labels();
   result.test_size = test.size();
-  result.total_after_gan = train.size() + cal.size() + test.size();
+  result.total_after_gan = fit.train.size() + cal.size() + test.size();
   result.graph_only = evaluate_arm(graph_model, test);
   result.tabular_only = evaluate_arm(tabular_model, test);
-  result.early_fusion = evaluate_arm(early_model, test);
-  result.late_fusion = evaluate_arm(late_model, test);
-  result.winner = result.late_fusion.brier <= result.early_fusion.brier
-                      ? "late_fusion"
-                      : "early_fusion";
+  result.early_fusion = evaluate_arm(fit.early, test);
+  result.late_fusion = evaluate_arm(fit.late, test);
+  result.winner = fit.winner;
   return result;
 }
 

@@ -1,53 +1,42 @@
 #pragma once
 // The paper's experimental protocol, packaged so every table and figure
-// bench runs the same pipeline (DESIGN.md experiment index):
+// bench runs the same pipeline (DESIGN.md §2):
 //
 //   1. build a Trust-Hub-scale corpus (noodle::data),
 //   2. featurize both modalities,
-//   3. GAN-amplify each class to the target count (paper: 500 points
-//      total), then stratified-split train/cal/test — matching the paper,
-//      which amplifies the dataset before evaluation,
+//   3. stratified-split train/cal/test, then GAN-amplify each class of the
+//      training split only to the target count (paper: 500 points total),
 //   4. train all four arms (graph-only, tabular-only, early fusion, late
-//      fusion) with identical CNN hyperparameters,
-//   5. evaluate Brier + conformal statistics on the test set and pick the
-//      winning fusion by Brier score (Algorithm 2, step 8).
+//      fusion) with identical CNN hyperparameters and pick the winning
+//      fusion by Brier score on the calibration split (Algorithm 2, step 8);
+//      the fusion arms fit through core::fit_fusion, as the detector does,
+//   5. evaluate Brier + conformal statistics on the test set.
 
 #include <array>
-#include <optional>
 #include <string>
 
+#include "core/fit.h"
 #include "data/corpus.h"
-#include "data/dataset.h"
-#include "fusion/models.h"
-#include "gan/augment.h"
 #include "metrics/classification.h"
 
 namespace noodle::core {
 
-struct ExperimentConfig {
+struct ExperimentConfig : FitConfig {
   data::CorpusSpec corpus;
-  bool use_gan = true;
-  /// Per-class target after amplification (250 + 250 = the paper's 500).
-  std::size_t gan_target_per_class = 250;
-  gan::GanConfig gan;
-  fusion::FusionConfig fusion;
   double train_fraction = 0.56;
   double cal_fraction = 0.22;  // leaves ~22% test: ~109 points at 500 total
   /// Missing-modality simulation applied before imputation (0 = complete).
   double missing_graph_rate = 0.0;
   double missing_tabular_rate = 0.0;
   bool impute_missing = true;
-  /// Canonical seed: reproduces the paper's Table I ordering
-  /// (late < early < graph < tabular on Brier). Fig. 2's distribution bench
-  /// sweeps seeds and shows the spread around this draw.
-  std::uint64_t seed = 2;
 
   ExperimentConfig() {
     corpus.design_count = 500;
     corpus.infected_fraction = 0.3;
-    fusion.train.epochs = 60;
-    fusion.train.patience = 12;
-    gan.epochs = 120;
+    // Canonical seed: reproduces the paper's Table I ordering
+    // (late < early < graph < tabular on Brier). Fig. 2's distribution
+    // bench sweeps seeds and shows the spread around this draw.
+    seed = 2;
   }
 };
 
@@ -68,7 +57,7 @@ struct ExperimentResult {
   std::vector<int> test_labels;
   std::size_t test_size = 0;
   std::size_t total_after_gan = 0;
-  std::string winner;  // fusion arm with the lower Brier score
+  std::string winner;  // fusion arm with the lower Brier score on the calibration split
 
   const ArmResult& winning_arm() const {
     return winner == "early_fusion" ? early_fusion : late_fusion;

@@ -19,10 +19,9 @@
 #include <string>
 #include <vector>
 
+#include "core/fit.h"
 #include "cp/icp.h"
 #include "data/corpus.h"
-#include "fusion/models.h"
-#include "gan/augment.h"
 #include "lint/lint.h"
 #include "nn/model.h"
 
@@ -38,23 +37,12 @@ namespace noodle::core {
 /// by FittedModel::scan_verilog* and serve::DetectionService.
 std::vector<lint::OwnedFinding> lint_last_parse(feat::FeaturizeWorkspace& workspace);
 
-struct DetectorConfig {
+struct DetectorConfig : FitConfig {
   /// Fraction of the fitted corpus used for proper training; the rest
-  /// calibrates the conformal predictors (after GAN amplification).
+  /// calibrates the conformal predictors.
   double train_fraction = 0.7;
-  bool use_gan = true;
-  std::size_t gan_target_per_class = 250;
-  gan::GanConfig gan;
-  fusion::FusionConfig fusion;
   /// Confidence level E for prediction regions (Algorithm 1).
   double confidence_level = 0.9;
-  std::uint64_t seed = 42;
-
-  DetectorConfig() {
-    fusion.train.epochs = 60;
-    fusion.train.patience = 12;
-    gan.epochs = 120;
-  }
 };
 
 /// Where one request's wall time went, in microseconds. Filled by

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/detector.h"
 #include "core/experiment.h"
+#include "cp/icp.h"
 #include "verilog/parser.h"
 #include "verilog/printer.h"
 
@@ -173,6 +176,60 @@ TEST(Detector, MalformedVerilogThrowsParseError) {
 TEST(Detector, EmptyCorpusRejected) {
   NoodleDetector detector(small_detector_config());
   EXPECT_THROW(detector.fit({}), std::invalid_argument);
+}
+
+TEST(Detector, FitIsDeterministic) {
+  // Disk-cache keys are content digests, so cached verdicts survive a
+  // restart only if refitting the same config on the same corpus gives the
+  // same model.
+  const auto corpus = data::build_corpus(small_corpus_spec(61));
+  NoodleDetector a(small_detector_config());
+  NoodleDetector b(small_detector_config());
+  a.fit(corpus);
+  b.fit(corpus);
+  EXPECT_EQ(a.fitted_model()->content_digest(), b.fitted_model()->content_digest());
+}
+
+TEST(Detector, ServedRegionsAreCalibrated) {
+  // Mondrian ICP promises per-class error at most alpha = 1 - confidence on
+  // points exchangeable with its calibration set. Fit the served detector
+  // on six seeds, scan 600 fresh circuits each, and pool each class's
+  // errors; allow two binomial standard errors over alpha. Calibrating on
+  // GAN output breaks the promise for the amplified class. The seeds are
+  // fixed in advance, and the config is small so the test stays fast.
+  const double confidence = 0.9;
+  const double alpha = 1.0 - confidence;
+  std::vector<std::array<double, 2>> p_values;
+  std::vector<int> labels;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    DetectorConfig config;
+    config.seed = seed;
+    config.gan_target_per_class = 80;
+    config.gan.epochs = 30;
+    config.fusion.train.epochs = 12;
+    config.fusion.train.validation_fraction = 0.0;
+    data::CorpusSpec spec;
+    spec.design_count = 96;
+    spec.infected_fraction = 0.3;
+    spec.seed = seed;
+    NoodleDetector detector(config);
+    detector.fit(data::build_corpus(spec));
+
+    spec.design_count = 600;
+    spec.seed = 1000 + seed;
+    const data::FeatureDataset fresh = data::featurize_corpus(data::build_corpus(spec));
+    for (const DetectionReport& report : detector.scan_many(fresh.samples, 1)) {
+      p_values.push_back(report.p_values);
+    }
+    for (const int label : fresh.labels()) labels.push_back(label);
+  }
+  const cp::ConformalStats stats = cp::evaluate_regions(p_values, labels, confidence);
+  for (const int label : {data::kTrojanFree, data::kTrojanInfected}) {
+    const double n = static_cast<double>(stats.count_by_class[label]);
+    ASSERT_GT(n, 0.0);
+    const double bound = alpha + 2.0 * std::sqrt(alpha * (1.0 - alpha) / n);
+    EXPECT_LE(stats.error_rate_for(label), bound) << "class " << label << ", n = " << n;
+  }
 }
 
 TEST(Detector, MoveSemantics) {
