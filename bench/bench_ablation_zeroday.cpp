@@ -9,7 +9,7 @@
 #include "data/dataset.h"
 #include "metrics/classification.h"
 #include "metrics/roc.h"
-#include "util/thread_pool.h"
+#include "util/parallel_for.h"
 
 using namespace noodle;
 

@@ -3,25 +3,25 @@
 // we resample the whole experiment over independent seeds/splits and render
 // the distribution as box plots with the mean +/- 95% CI.
 
-#include <charconv>
-#include <cstring>
+#include <optional>
 
 #include "bench_common.h"
 #include "util/ascii_plot.h"
 #include "util/stats.h"
+#include "util/string_util.h"
 
 using namespace noodle;
 
 int main(int argc, char** argv) {
   std::size_t runs = 12;
   if (argc > 1) {
-    const char* end = argv[1] + std::strlen(argv[1]);
-    const auto [ptr, ec] = std::from_chars(argv[1], end, runs);
-    if (ec != std::errc() || ptr != end || runs == 0) {
+    const std::optional<std::uint64_t> parsed = util::parse_unsigned(argv[1]);
+    if (!parsed || *parsed == 0) {
       std::cerr << "usage: " << argv[0]
                 << " [RUNS]  (RUNS: positive integer, default 12)\n";
       return 2;
     }
+    runs = *parsed;
   }
   bench::banner("Fig. 2: Brier score distribution with mean interval (" +
                 std::to_string(runs) + " runs)");

@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <filesystem>
 #include <future>
 #include <thread>
@@ -446,43 +445,28 @@ BENCHMARK(BM_ScanMany)->Arg(1)->Arg(2)->Arg(4)->UseRealTime()->Unit(benchmark::k
 // ---------------------------------------------------------------------------
 
 void BM_SnapshotSaveLoad(benchmark::State& state) {
-  const auto precision = state.range(0) == 2   ? nn::WeightPrecision::I8
-                         : state.range(0) == 1 ? nn::WeightPrecision::F32
-                                               : nn::WeightPrecision::F64;
-  const bool f32 = precision == nn::WeightPrecision::F32;
-  const bool i8 = precision == nn::WeightPrecision::I8;
   const auto& detector = fitted_detector();
   const auto path = std::filesystem::temp_directory_path() / "noodle_bench.snap";
   const core::DetectionReport reference = detector.scan_features(scan_samples()[0]);
   std::uintmax_t snapshot_bytes = 0;
   for (auto _ : state) {
-    detector.save(path, precision);
+    detector.save(path);
     const core::NoodleDetector loaded = core::NoodleDetector::from_snapshot(path);
     benchmark::DoNotOptimize(loaded);
     state.PauseTiming();
     snapshot_bytes = std::filesystem::file_size(path);
     const core::DetectionReport check = loaded.scan_features(scan_samples()[0]);
-    // F64 round-trips bit-exactly; F32 rounds each weight, so the verdict
-    // only has to stay label-identical and probability-close; I8 is coarser
-    // still, so the bar is the label plus a wide probability neighborhood.
-    const double probability_tol = i8 ? 0.1 : 5e-3;
-    const bool diverged =
-        (f32 || i8) ? check.predicted_label != reference.predicted_label ||
-                          std::abs(check.probability - reference.probability) >
-                              probability_tol
-                    : check.probability != reference.probability ||
-                          check.p_values != reference.p_values;
-    if (diverged) {
+    if (check.probability != reference.probability ||
+        check.p_values != reference.p_values) {
       state.SkipWithError("loaded detector diverged from the fitted original");
       break;  // no ResumeTiming after SkipWithError (library precondition)
     }
     state.ResumeTiming();
   }
   std::filesystem::remove(path);
-  state.SetLabel(std::string(i8 ? "i8" : f32 ? "f32" : "f64") +
-                 " snapshot_bytes=" + std::to_string(snapshot_bytes));
+  state.SetLabel("snapshot_bytes=" + std::to_string(snapshot_bytes));
 }
-BENCHMARK(BM_SnapshotSaveLoad)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SnapshotSaveLoad)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // P6 — multi-model registry: resolve and atomic hot reload

@@ -2,7 +2,7 @@
 
 #include <mutex>
 
-#include "util/thread_pool.h"
+#include "util/parallel_for.h"
 
 namespace noodle::core {
 

@@ -85,11 +85,10 @@ std::vector<DetectionReport> NoodleDetector::scan_verilog_many(
   return require_model()->scan_verilog_many(sources, threads, lint);
 }
 
-void NoodleDetector::save(const std::filesystem::path& path,
-                          nn::WeightPrecision precision) const {
+void NoodleDetector::save(const std::filesystem::path& path) const {
   std::shared_ptr<const FittedModel> model = model_.load();
   if (!model) throw std::logic_error("NoodleDetector::save: fit() first");
-  model->save(path, precision);
+  model->save(path);
 }
 
 void NoodleDetector::load(const std::filesystem::path& path) {

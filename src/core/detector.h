@@ -75,12 +75,10 @@ class NoodleDetector {
   /// Serializes the entire fitted detector — config, both fusion arms'
   /// CNN weights, normalizer state, Mondrian ICP calibration scores, and
   /// the winning-fusion choice — into a versioned snapshot archive
-  /// (serve/snapshot.h). With F64 precision a loaded detector produces
-  /// bit-identical DetectionReports for the same inputs; F32 halves the
-  /// weight payload and loads to a verdict-equivalent model. Throws
-  /// std::logic_error if the detector was never fitted.
-  void save(const std::filesystem::path& path,
-            nn::WeightPrecision precision = nn::WeightPrecision::F64) const;
+  /// (serve/snapshot.h). A loaded detector produces bit-identical
+  /// DetectionReports for the same inputs. Throws std::logic_error if the
+  /// detector was never fitted.
+  void save(const std::filesystem::path& path) const;
 
   /// Restores a detector from a snapshot written by save(). Throws
   /// serve::SnapshotError on corrupted, truncated, or version-mismatched

@@ -10,7 +10,7 @@
 #include "feat/featurize.h"
 #include "serve/snapshot.h"
 #include "util/binary_io.h"
-#include "util/thread_pool.h"
+#include "util/parallel_for.h"
 
 namespace noodle::core {
 
@@ -23,14 +23,14 @@ FittedModel::FittedModel(DetectorConfig config, fusion::EarlyFusionModel early,
   if (winner_ != "early_fusion" && winner_ != "late_fusion") {
     throw std::invalid_argument("FittedModel: unknown winning fusion '" + winner_ + "'");
   }
-  // Content digest over the canonical F64 serialization: the same fitted
-  // state (fit in-process, or loaded from any precision archive) always
-  // hashes identically, so disk-cache keys survive restarts. One extra
-  // serialization per construction — construction happens once per fit or
-  // load, never on a scan path.
-  std::ostringstream canonical(std::ios::binary);
-  save(canonical, nn::WeightPrecision::F64);
-  digest_ = util::fnv1a64(canonical.str());
+  // Content digest over the snapshot serialization: the same fitted state
+  // (fit in-process, or loaded from an archive) always hashes identically,
+  // so disk-cache keys survive restarts. One extra serialization per
+  // construction — construction happens once per fit or load, never on a
+  // scan path.
+  std::ostringstream image(std::ios::binary);
+  save(image);
+  digest_ = util::fnv1a64(image.str());
 }
 
 namespace {
@@ -115,9 +115,9 @@ std::vector<DetectionReport> FittedModel::scan_verilog_many(
   // the batched scan path. Each worker featurizes through its own
   // thread-local FeaturizeWorkspace (never shared): one arena/token-buffer/
   // intern-pool per worker, warm for the rest of the call instead of
-  // re-allocating per sample. parallel_for spins its pool per call, so the
-  // workspaces are rebuilt across calls; the truly persistent steady state
-  // lives on DetectionService's long-lived worker threads. The lint
+  // re-allocating per sample. parallel_for starts its threads per call, so
+  // the workspaces are rebuilt across calls; the truly persistent steady
+  // state lives on DetectionService's long-lived worker threads. The lint
   // pass rides the same workers, right after each featurize while the
   // worker's arena still holds that parse.
   std::vector<data::FeatureSample> samples(sources.size());
@@ -212,26 +212,11 @@ DetectorConfig read_config(std::istream& is) {
 
 }  // namespace
 
-namespace {
-
-/// Lowest archive version able to represent a payload of this precision —
-/// stamping it keeps older readers loading every archive they can parse.
-std::uint32_t version_for(nn::WeightPrecision precision) {
-  switch (precision) {
-    case nn::WeightPrecision::I8: return 3;
-    case nn::WeightPrecision::F32: return 2;
-    case nn::WeightPrecision::F64: break;
-  }
-  return serve::kSnapshotVersionMin;
-}
-
-}  // namespace
-
-void FittedModel::save(std::ostream& os, nn::WeightPrecision precision) const {
-  serve::SnapshotWriter writer(version_for(precision));
+void FittedModel::save(std::ostream& os) const {
+  serve::SnapshotWriter writer;
   write_config(writer.begin_section("CONF"), config_);
-  early_.save(writer.begin_section("EARL"), precision);
-  late_.save(writer.begin_section("LATE"), precision);
+  early_.save(writer.begin_section("EARL"));
+  late_.save(writer.begin_section("LATE"));
   // META: winner string, then the feature definition the model was fitted
   // against. Pre-PR 8 archives end after the winner — the loader treats
   // that as feature version 1.
@@ -241,13 +226,12 @@ void FittedModel::save(std::ostream& os, nn::WeightPrecision precision) const {
   writer.write_to(os);
 }
 
-void FittedModel::save(const std::filesystem::path& path,
-                       nn::WeightPrecision precision) const {
+void FittedModel::save(const std::filesystem::path& path) const {
   std::ofstream os(path, std::ios::binary);
   if (!os) {
     throw serve::SnapshotError("snapshot: cannot open " + path.string() + " for write");
   }
-  save(os, precision);
+  save(os);
 }
 
 std::shared_ptr<const FittedModel> FittedModel::load(const std::filesystem::path& path) {

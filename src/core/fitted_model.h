@@ -23,7 +23,6 @@
 #include "cp/icp.h"
 #include "data/corpus.h"
 #include "lint/lint.h"
-#include "nn/model.h"
 
 namespace noodle::feat {
 class FeaturizeWorkspace;
@@ -116,13 +115,10 @@ class FittedModel {
                                                  std::size_t threads = 0,
                                                  bool lint = false) const;
 
-  /// Serializes this generation into a snapshot archive (serve/snapshot.h).
-  /// F64 round-trips bit-exactly; F32 halves the CNN weight payload
-  /// (snapshot compaction) and loads to a verdict-equivalent model.
-  void save(std::ostream& os,
-            nn::WeightPrecision precision = nn::WeightPrecision::F64) const;
-  void save(const std::filesystem::path& path,
-            nn::WeightPrecision precision = nn::WeightPrecision::F64) const;
+  /// Serializes this generation into a snapshot archive (serve/snapshot.h);
+  /// a load round-trips it bit-exactly.
+  void save(std::ostream& os) const;
+  void save(const std::filesystem::path& path) const;
 
   /// Loads a generation from a snapshot written by save(). Throws
   /// serve::SnapshotError on corrupted, truncated, or version-mismatched
@@ -132,7 +128,7 @@ class FittedModel {
   const DetectorConfig& config() const noexcept { return config_; }
   const std::string& winning_fusion() const noexcept { return winner_; }
 
-  /// Stable content digest: FNV-1a over the canonical F64 serialization,
+  /// Stable content digest: FNV-1a over the snapshot serialization,
   /// computed once at construction. Unlike the registry's process-unique
   /// generation id, the digest survives restarts and is identical in every
   /// process that loaded the same fitted state — which is what lets the

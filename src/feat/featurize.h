@@ -12,7 +12,7 @@
 // tests/test_featurize_engine.cpp).
 //
 // Ownership rule: one workspace per thread, never shared. thread_workspace()
-// hands out a thread-local instance for pool workers; outputs written
+// hands out a thread-local instance for worker threads; outputs written
 // through featurize() are plain vectors the caller owns, so they may cross
 // threads freely.
 //

@@ -124,14 +124,10 @@ void expect_tag(std::istream& is, std::uint8_t expected, const char* who) {
 }
 
 /// Saves the shared (scaler, CNN, ICP) triple every concrete arm carries.
-/// Only the CNN weight blob honours the precision; scaler statistics and
-/// ICP calibration scores stay f64 (they are small and drive the conformal
-/// guarantees, so rounding them buys nothing).
 void save_arm_state(std::ostream& os, const feat::Standardizer& scaler,
-                    const nn::Sequential& model, const cp::MondrianIcp& icp,
-                    nn::WeightPrecision precision) {
+                    const nn::Sequential& model, const cp::MondrianIcp& icp) {
   scaler.save(os);
-  model.save_weights(os, precision);
+  model.save_weights(os);
   icp.save(os);
 }
 
@@ -218,9 +214,9 @@ std::vector<Prediction> SingleModalityModel::predict_batch(
       });
 }
 
-void SingleModalityModel::save(std::ostream& os, nn::WeightPrecision precision) const {
+void SingleModalityModel::save(std::ostream& os) const {
   util::write_u8(os, modality_tag(modality_));
-  save_arm_state(os, scaler_, model_, icp_, precision);
+  save_arm_state(os, scaler_, model_, icp_);
 }
 
 void SingleModalityModel::load(std::istream& is) {
@@ -279,9 +275,9 @@ std::vector<Prediction> EarlyFusionModel::predict_batch(
       });
 }
 
-void EarlyFusionModel::save(std::ostream& os, nn::WeightPrecision precision) const {
+void EarlyFusionModel::save(std::ostream& os) const {
   util::write_u8(os, kArmTagEarly);
-  save_arm_state(os, scaler_, model_, icp_, precision);
+  save_arm_state(os, scaler_, model_, icp_);
 }
 
 void EarlyFusionModel::load(std::istream& is) {
@@ -348,10 +344,10 @@ Prediction LateFusionModel::predict(const data::FeatureSample& sample) const {
   return detail.fused;
 }
 
-void LateFusionModel::save(std::ostream& os, nn::WeightPrecision precision) const {
+void LateFusionModel::save(std::ostream& os) const {
   util::write_u8(os, kArmTagLate);
-  graph_arm_.save(os, precision);
-  tabular_arm_.save(os, precision);
+  graph_arm_.save(os);
+  tabular_arm_.save(os);
 }
 
 void LateFusionModel::load(std::istream& is) {

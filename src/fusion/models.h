@@ -82,11 +82,8 @@ class ClassifierArm {
   virtual std::string name() const = 0;
 
   /// Serializes the fitted state (scaler, CNN weights, ICP calibration) so
-  /// a detector snapshot can round-trip the arm bit-exactly (F64) or at
-  /// half the weight payload (F32 — scaler and ICP stay f64; only the CNN
-  /// parameters are rounded).
-  virtual void save(std::ostream& os,
-                    nn::WeightPrecision precision = nn::WeightPrecision::F64) const = 0;
+  /// a detector snapshot can round-trip the arm bit-exactly.
+  virtual void save(std::ostream& os) const = 0;
 
   /// Restores state saved by the same arm type constructed with the same
   /// FusionConfig (the CNN is rebuilt from the saved scaler dimension, then
@@ -106,7 +103,7 @@ class SingleModalityModel : public ClassifierArm {
   std::vector<Prediction> predict_batch(
       std::span<const data::FeatureSample> samples) const override;
   std::string name() const override;
-  void save(std::ostream& os, nn::WeightPrecision precision) const override;
+  void save(std::ostream& os) const override;
   void load(std::istream& is) override;
 
  private:
@@ -125,7 +122,7 @@ class EarlyFusionModel : public ClassifierArm {
   std::vector<Prediction> predict_batch(
       std::span<const data::FeatureSample> samples) const override;
   std::string name() const override { return "early_fusion"; }
-  void save(std::ostream& os, nn::WeightPrecision precision) const override;
+  void save(std::ostream& os) const override;
   void load(std::istream& is) override;
 
  private:
@@ -164,7 +161,7 @@ class LateFusionModel : public ClassifierArm {
       std::span<const data::FeatureSample> samples) const override;
 
   std::string name() const override { return "late_fusion"; }
-  void save(std::ostream& os, nn::WeightPrecision precision) const override;
+  void save(std::ostream& os) const override;
   void load(std::istream& is) override;
 
   /// Per-modality p-values of the last predict() call, exposed so callers

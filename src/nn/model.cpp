@@ -1,9 +1,7 @@
 #include "nn/model.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <fstream>
 #include <stdexcept>
 
 #include "util/binary_io.h"
@@ -110,56 +108,16 @@ std::size_t Sequential::output_cols(std::size_t input_cols) const {
 }
 
 namespace {
-// The blob magic doubles as the precision gate: "NOODLE01" bodies are f64
-// (bit-exact round trip), "NOODLF32" bodies are f32 (compact snapshots),
-// "NOODLI8Q" bodies are int8 with one f64 scale per parameter buffer.
-constexpr std::uint64_t kWeightsMagic = 0x4e4f4f444c453031ULL;     // "NOODLE01"
-constexpr std::uint64_t kWeightsMagicF32 = 0x4e4f4f444c463332ULL;  // "NOODLF32"
-constexpr std::uint64_t kWeightsMagicI8 = 0x4e4f4f444c493851ULL;   // "NOODLI8Q"
+constexpr std::uint64_t kWeightsMagic = 0x4e4f4f444c453031ULL;  // "NOODLE01"
+}  // namespace
 
-/// Largest-magnitude weight in the buffer; the int8 scale derives from it.
-double max_abs(const ConstParamView& p) {
-  double result = 0.0;
-  for (std::size_t i = 0; i < p.size; ++i) {
-    result = std::max(result, std::abs(p.values[i]));
-  }
-  return result;
-}
-}
-
-void Sequential::save_weights(std::ostream& os, WeightPrecision precision) const {
+void Sequential::save_weights(std::ostream& os) const {
   const auto views = const_params();
-  std::uint64_t magic = kWeightsMagic;
-  if (precision == WeightPrecision::F32) magic = kWeightsMagicF32;
-  if (precision == WeightPrecision::I8) magic = kWeightsMagicI8;
-  util::write_u64(os, magic);
+  util::write_u64(os, kWeightsMagic);
   util::write_u64(os, views.size());
   for (const ConstParamView& p : views) {
     util::write_u64(os, p.size);
-    switch (precision) {
-      case WeightPrecision::F64:
-        for (std::size_t i = 0; i < p.size; ++i) util::write_f64(os, p.values[i]);
-        break;
-      case WeightPrecision::F32:
-        for (std::size_t i = 0; i < p.size; ++i) {
-          util::write_f32(os, static_cast<float>(p.values[i]));
-        }
-        break;
-      case WeightPrecision::I8: {
-        // Symmetric per-buffer quantization: the scale maps the largest
-        // magnitude to ±127, so a buffer never saturates; an all-zero
-        // buffer takes scale 1.0 to keep the decode well-defined.
-        const double peak = max_abs(p);
-        const double scale = peak > 0.0 ? peak / 127.0 : 1.0;
-        util::write_f64(os, scale);
-        for (std::size_t i = 0; i < p.size; ++i) {
-          const long q = std::lround(p.values[i] / scale);
-          const long clamped = std::clamp(q, -127L, 127L);
-          util::write_u8(os, static_cast<std::uint8_t>(static_cast<std::int8_t>(clamped)));
-        }
-        break;
-      }
-    }
+    for (std::size_t i = 0; i < p.size; ++i) util::write_f64(os, p.values[i]);
   }
 }
 
@@ -170,9 +128,7 @@ void Sequential::load_weights(std::istream& is) {
   } catch (const std::runtime_error&) {
     throw std::runtime_error("load_weights: truncated header");
   }
-  if (magic != kWeightsMagic && magic != kWeightsMagicF32 && magic != kWeightsMagicI8) {
-    throw std::runtime_error("load_weights: bad header");
-  }
+  if (magic != kWeightsMagic) throw std::runtime_error("load_weights: bad header");
   const std::uint64_t count = util::read_u64(is);
   const auto views = params();
   if (count != views.size()) {
@@ -182,35 +138,7 @@ void Sequential::load_weights(std::istream& is) {
     if (util::read_u64(is) != p.size) {
       throw std::runtime_error("load_weights: architecture mismatch (buffer size)");
     }
-    if (magic == kWeightsMagicI8) {
-      const double scale = util::read_f64(is);
-      for (std::size_t i = 0; i < p.size; ++i) {
-        p.values[i] = static_cast<double>(static_cast<std::int8_t>(util::read_u8(is))) * scale;
-      }
-    } else if (magic == kWeightsMagicF32) {
-      for (std::size_t i = 0; i < p.size; ++i) {
-        p.values[i] = static_cast<double>(util::read_f32(is));
-      }
-    } else {
-      for (std::size_t i = 0; i < p.size; ++i) p.values[i] = util::read_f64(is);
-    }
-  }
-}
-
-void Sequential::save_weights(const std::filesystem::path& path) const {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) throw std::runtime_error("save_weights: cannot open " + path.string());
-  save_weights(os);
-  if (!os) throw std::runtime_error("save_weights: write failed for " + path.string());
-}
-
-void Sequential::load_weights(const std::filesystem::path& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("load_weights: cannot open " + path.string());
-  try {
-    load_weights(is);
-  } catch (const std::runtime_error& e) {
-    throw std::runtime_error(std::string(e.what()) + " in " + path.string());
+    for (std::size_t i = 0; i < p.size; ++i) p.values[i] = util::read_f64(is);
   }
 }
 

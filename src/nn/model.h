@@ -1,21 +1,11 @@
 #pragma once
 // Sequential container plus weight (de)serialization.
 
-#include <filesystem>
+#include <iosfwd>
 
 #include "nn/layer.h"
 
 namespace noodle::nn {
-
-/// On-disk encoding of a weight blob. F64 round-trips bit-exactly; F32
-/// halves the payload (snapshot compaction for fleet distribution) at the
-/// cost of rounding each weight to the nearest binary32 value. I8 stores
-/// one byte per weight plus one f64 scale per parameter buffer (~8x
-/// smaller than F64): q = round(w / scale) clamped to [-127, 127] with
-/// scale = max|w| / 127, decoded as q · scale. Like F32 it is
-/// verdict-equivalent, not bit-identical — asserted in
-/// tests/test_nn_engine.cpp alongside the f32 test.
-enum class WeightPrecision : std::uint8_t { F64 = 0, F32 = 1, I8 = 2 };
 
 class Sequential {
  public:
@@ -69,15 +59,12 @@ class Sequential {
   std::size_t layer_count() const noexcept { return layers_.size(); }
   Layer& layer(std::size_t i) { return *layers_.at(i); }
 
-  /// Saves / restores all parameter buffers (binary little-endian with a
-  /// small header). Architectures must match on load. Saving is a read-only
-  /// operation, so a fitted model is saveable through a const reference; the
-  /// stream overloads let a snapshot archive embed the weight blob as one
-  /// section. The blob magic encodes the precision, so load_weights accepts
-  /// either encoding transparently (f32 weights are widened to double).
-  void save_weights(const std::filesystem::path& path) const;
-  void load_weights(const std::filesystem::path& path);
-  void save_weights(std::ostream& os, WeightPrecision precision = WeightPrecision::F64) const;
+  /// Saves / restores all parameter buffers as f64 bit patterns (binary
+  /// little-endian with a small header), so a round trip is bit-exact.
+  /// Architectures must match on load. Saving is a read-only operation, so
+  /// a fitted model is saveable through a const reference; a snapshot
+  /// archive embeds the weight blob as one section.
+  void save_weights(std::ostream& os) const;
   void load_weights(std::istream& is);
 
  private:

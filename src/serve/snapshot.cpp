@@ -10,13 +10,6 @@ namespace noodle::serve {
 // SnapshotWriter
 // ---------------------------------------------------------------------------
 
-SnapshotWriter::SnapshotWriter(std::uint32_t version) : version_(version) {
-  if (version < kSnapshotVersionMin || version > kSnapshotVersion) {
-    throw SnapshotError("snapshot: writer version " + std::to_string(version) +
-                        " outside supported range");
-  }
-}
-
 std::ostream& SnapshotWriter::begin_section(std::string_view tag) {
   if (tag.size() != 4) {
     throw SnapshotError("snapshot: section tag must be exactly 4 bytes, got '" +
@@ -42,7 +35,7 @@ void SnapshotWriter::write_to(std::ostream& os) {
   // header and every section exactly as written.
   std::ostringstream image;
   util::write_u64(image, kSnapshotMagic);
-  util::write_u32(image, version_);
+  util::write_u32(image, kSnapshotVersion);
   util::write_u32(image, static_cast<std::uint32_t>(sections_.size()));
   for (const Section& section : sections_) {
     image.write(section.tag.data(), 4);
@@ -81,10 +74,10 @@ SnapshotReader::SnapshotReader(std::istream& is) {
     throw SnapshotError("snapshot: bad magic (not a detector snapshot)");
   }
   const std::uint32_t version = util::read_u32(image);
-  if (version < kSnapshotVersionMin || version > kSnapshotVersion) {
+  if (version != kSnapshotVersion) {
     throw SnapshotError("snapshot: format version " + std::to_string(version) +
-                        " outside reader range [" + std::to_string(kSnapshotVersionMin) +
-                        ", " + std::to_string(kSnapshotVersion) + "]");
+                        "; this reader accepts only version " +
+                        std::to_string(kSnapshotVersion));
   }
   const std::uint32_t count = util::read_u32(image);
   // Offsets are validated against payload_size before every read, so the

@@ -8,8 +8,7 @@
 // Archive layout (all integers little-endian, doubles as IEEE-754 bits):
 //
 //   u64  magic      "NOODSNP1" — rejects non-snapshot files immediately
-//   u32  version    format version; readers accept [kSnapshotVersionMin,
-//                   kSnapshotVersion] and reject anything newer or older
+//   u32  version    format version; readers accept exactly kSnapshotVersion
 //   u32  sections   section count
 //   per section:
 //     4 bytes tag   e.g. "CONF", "EARL", "LATE", "META"
@@ -39,14 +38,11 @@ class SnapshotError : public std::runtime_error {
 
 /// Little-endian u64 whose on-disk bytes spell "NOODSNP1".
 inline constexpr std::uint64_t kSnapshotMagic = 0x31504e53444f4f4eULL;
-/// Version 1: f64 weight blobs only. Version 2: weight sections may carry
-/// the compact f32 encoding (nn::WeightPrecision::F32, ~2x smaller) — the
-/// blob's own magic says which, so v1 archives still load. Version 3:
-/// weight sections may carry the per-buffer-scaled int8 encoding
-/// (nn::WeightPrecision::I8, ~8x smaller), and the META section carries
-/// the feat::kFeatureVersion the model was fitted against.
-inline constexpr std::uint32_t kSnapshotVersionMin = 1;
-inline constexpr std::uint32_t kSnapshotVersion = 3;
+/// The one archive format: f64 weight blobs, and a META section that
+/// carries the feat::kFeatureVersion the model was fitted against. Archives
+/// stamped 2 or 3 carried f32 or int8 weights; they are rejected at the
+/// header and must be refit.
+inline constexpr std::uint32_t kSnapshotVersion = 1;
 
 /// Accumulates tagged sections in memory, then writes the framed, checksummed
 /// archive in one pass. Usage:
@@ -56,14 +52,9 @@ inline constexpr std::uint32_t kSnapshotVersion = 3;
 ///   other.save(writer.begin_section("EARL"));
 ///   writer.write_file(path);
 ///
-/// `version` is the format version stamped into the header. Writers should
-/// stamp the LOWEST version whose features the payload actually uses (e.g.
-/// kSnapshotVersionMin for pure-f64 archives), so older readers keep
-/// loading archives they are perfectly able to parse.
+/// The header is always stamped kSnapshotVersion.
 class SnapshotWriter {
  public:
-  explicit SnapshotWriter(std::uint32_t version = kSnapshotVersion);
-
   /// Starts a new section (tag must be exactly 4 bytes) and returns the
   /// stream its body is written to. The previous section, if any, is sealed.
   std::ostream& begin_section(std::string_view tag);
@@ -75,7 +66,6 @@ class SnapshotWriter {
  private:
   void seal_current();
 
-  std::uint32_t version_;
   struct Section {
     std::string tag;
     std::string body;

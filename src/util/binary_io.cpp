@@ -38,10 +38,6 @@ void write_f64(std::ostream& os, double value) {
   write_le(os, std::bit_cast<std::uint64_t>(value), 8);
 }
 
-void write_f32(std::ostream& os, float value) {
-  write_le(os, std::bit_cast<std::uint32_t>(value), 4);
-}
-
 void write_string(std::ostream& os, const std::string& value) {
   write_u64(os, value.size());
   os.write(value.data(), static_cast<std::streamsize>(value.size()));
@@ -58,10 +54,6 @@ std::uint32_t read_u32(std::istream& is) { return static_cast<std::uint32_t>(rea
 std::uint64_t read_u64(std::istream& is) { return read_le(is, 8); }
 
 double read_f64(std::istream& is) { return std::bit_cast<double>(read_le(is, 8)); }
-
-float read_f32(std::istream& is) {
-  return std::bit_cast<float>(static_cast<std::uint32_t>(read_le(is, 4)));
-}
 
 std::string read_string(std::istream& is, std::size_t max_size) {
   const std::uint64_t size = read_u64(is);

@@ -20,8 +20,6 @@ void write_u8(std::ostream& os, std::uint8_t value);
 void write_u32(std::ostream& os, std::uint32_t value);
 void write_u64(std::ostream& os, std::uint64_t value);
 void write_f64(std::ostream& os, double value);
-/// IEEE-754 binary32 bit pattern — the compact snapshot weight encoding.
-void write_f32(std::ostream& os, float value);
 void write_string(std::ostream& os, const std::string& value);
 void write_f64_vector(std::ostream& os, const std::vector<double>& values);
 
@@ -29,7 +27,6 @@ std::uint8_t read_u8(std::istream& is);
 std::uint32_t read_u32(std::istream& is);
 std::uint64_t read_u64(std::istream& is);
 double read_f64(std::istream& is);
-float read_f32(std::istream& is);
 /// `max_size` guards against absurd length prefixes from corrupt files.
 std::string read_string(std::istream& is, std::size_t max_size = 1u << 20);
 std::vector<double> read_f64_vector(std::istream& is, std::size_t max_size = 1u << 26);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 
 namespace noodle::util {
 
@@ -67,6 +68,14 @@ std::string zero_pad(std::size_t value, std::size_t width) {
   std::string digits = std::to_string(value);
   if (digits.size() < width) digits.insert(0, width - digits.size(), '0');
   return digits;
+}
+
+std::optional<std::uint64_t> parse_unsigned(std::string_view text) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
 }
 
 }  // namespace noodle::util

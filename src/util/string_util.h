@@ -1,6 +1,8 @@
 #pragma once
 // String helpers shared by the Verilog front end and report writers.
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,5 +26,10 @@ bool is_verilog_identifier(std::string_view name);
 
 /// Zero-padded decimal rendering, e.g. zero_pad(7, 3) == "007".
 std::string zero_pad(std::size_t value, std::size_t width);
+
+/// Strict decimal parse for numeric command-line values: the whole of
+/// `text` must be decimal digits that fit in 64 bits. Rejects an empty
+/// string, signs, surrounding spaces, trailing characters and overflow.
+std::optional<std::uint64_t> parse_unsigned(std::string_view text);
 
 }  // namespace noodle::util

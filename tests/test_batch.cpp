@@ -1,4 +1,4 @@
-// Tests for the batch/parallel subsystem: the thread pool primitives, the
+// Tests for the batch/parallel subsystem: parallel_for, the
 // experiment sweep runner's determinism across thread counts, and the
 // detector's batch scan APIs matching their sequential equivalents exactly.
 
@@ -11,32 +11,12 @@
 
 #include "core/batch.h"
 #include "core/detector.h"
-#include "util/thread_pool.h"
+#include "util/parallel_for.h"
 
 namespace noodle {
 namespace {
 
-// --- thread pool primitives ------------------------------------------------
-
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  util::ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, SizeMatchesRequest) {
-  util::ThreadPool pool(3);
-  EXPECT_EQ(pool.size(), 3u);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturnsImmediately) {
-  util::ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
-}
+// --- parallel_for ---------------------------------------------------------
 
 TEST(ResolveThreadCount, CapsAtWorkItemsAndNeverReturnsZero) {
   EXPECT_EQ(util::resolve_thread_count(8, 3), 3u);

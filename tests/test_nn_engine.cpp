@@ -10,11 +10,9 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <cmath>
 #include <cstdlib>
 #include <new>
 #include <span>
-#include <sstream>
 
 #include "fusion/models.h"
 #include "nn/kernels.h"
@@ -129,49 +127,6 @@ TEST(GemmBt, RespectsLeadingDimensions) {
   naive_gemm_bt(m, n, k, a.data().data(), lda, b.data().data(), ldb, nullptr,
                 want.data(), n, 1);
   EXPECT_EQ(got, want);
-}
-
-// ---------------------------------------------------------------------------
-// int8 weight encoding
-// ---------------------------------------------------------------------------
-
-TEST(WeightPrecisionI8, RoundTripsWithinOneHalfScalePerBuffer) {
-  util::Rng rng(41);
-  const nn::Sequential model = nn::make_cnn(40, rng);
-  std::stringstream blob;
-  model.save_weights(blob, nn::WeightPrecision::I8);
-
-  util::Rng rng2(41);
-  nn::Sequential restored = nn::make_cnn(40, rng2);
-  restored.load_weights(blob);
-
-  const auto original = model.const_params();
-  const auto loaded = restored.const_params();
-  ASSERT_EQ(original.size(), loaded.size());
-  for (std::size_t p = 0; p < original.size(); ++p) {
-    ASSERT_EQ(original[p].size, loaded[p].size);
-    double peak = 0.0;
-    for (std::size_t i = 0; i < original[p].size; ++i) {
-      peak = std::max(peak, std::abs(original[p].values[i]));
-    }
-    const double scale = peak > 0.0 ? peak / 127.0 : 1.0;
-    for (std::size_t i = 0; i < original[p].size; ++i) {
-      EXPECT_NEAR(loaded[p].values[i], original[p].values[i], 0.5 * scale + 1e-15)
-          << "buffer " << p << " index " << i;
-    }
-  }
-}
-
-TEST(WeightPrecisionI8, BlobIsRoughlyEightfoldSmallerThanF64) {
-  util::Rng rng(43);
-  const nn::Sequential model = nn::make_cnn(40, rng);
-  std::stringstream f64_blob, i8_blob;
-  model.save_weights(f64_blob, nn::WeightPrecision::F64);
-  model.save_weights(i8_blob, nn::WeightPrecision::I8);
-  // Per-buffer framing (size + scale) keeps it off exactly 8x; 0.2 leaves
-  // room for the tiny-buffer overhead while still proving the compaction.
-  EXPECT_LT(static_cast<double>(i8_blob.str().size()),
-            0.2 * static_cast<double>(f64_blob.str().size()));
 }
 
 // ---------------------------------------------------------------------------

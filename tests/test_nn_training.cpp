@@ -2,8 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
+#include <sstream>
 
 #include "nn/layers.h"
 #include "nn/loss.h"
@@ -178,34 +177,24 @@ TEST(Trainer, MakeCnnRejectsNarrowInput) {
 TEST(Model, SaveLoadRoundTrip) {
   util::Rng rng(31);
   Sequential a = make_mlp(6, {12}, 1, rng);
-  const auto path = std::filesystem::temp_directory_path() /
-                    ("noodle_weights_" + std::to_string(::getpid()) + ".bin");
-  a.save_weights(path);
+  std::stringstream blob;
+  a.save_weights(blob);
 
   util::Rng rng2(99);  // different init
   Sequential b = make_mlp(6, {12}, 1, rng2);
   Matrix x(3, 6, 0.5);
   EXPECT_NE(a.forward(x, false).data(), b.forward(x, false).data());
-  b.load_weights(path);
+  b.load_weights(blob);
   EXPECT_EQ(a.forward(x, false).data(), b.forward(x, false).data());
-  std::filesystem::remove(path);
 }
 
 TEST(Model, LoadRejectsArchitectureMismatch) {
   util::Rng rng(1);
   Sequential a = make_mlp(6, {12}, 1, rng);
-  const auto path = std::filesystem::temp_directory_path() /
-                    ("noodle_weights_mismatch_" + std::to_string(::getpid()) + ".bin");
-  a.save_weights(path);
+  std::stringstream blob;
+  a.save_weights(blob);
   Sequential b = make_mlp(6, {13}, 1, rng);
-  EXPECT_THROW(b.load_weights(path), std::runtime_error);
-  std::filesystem::remove(path);
-}
-
-TEST(Model, LoadMissingFileThrows) {
-  util::Rng rng(1);
-  Sequential m = make_mlp(2, {}, 1, rng);
-  EXPECT_THROW(m.load_weights("/no/such/file.bin"), std::runtime_error);
+  EXPECT_THROW(b.load_weights(blob), std::runtime_error);
 }
 
 }  // namespace

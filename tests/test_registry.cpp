@@ -1,8 +1,7 @@
 // Tests for the multi-model serving layer: ModelSpec parsing, the
 // ModelRegistry's publish/resolve/retire/reload_from semantics, swap
 // atomicity under concurrent load (a scan is always answered by exactly one
-// generation, bit-identically), generation-scoped verdict caching, f32
-// snapshot compaction round-tripping through the registry, and the
+// generation, bit-identically), generation-scoped verdict caching, and the
 // consistency and bounds of the service's per-model counters.
 
 #include <gtest/gtest.h>
@@ -422,79 +421,6 @@ TEST_F(RegistryFixture, StatsMapIsBoundedAgainstBogusModelNames) {
   EXPECT_LE(models.size(), serve::kMaxTrackedModels + 1);
   EXPECT_EQ(models.count(serve::kOverflowCell), 1u);
   EXPECT_EQ(rendered_misses, bogus);
-}
-
-// --- f32 snapshot compaction -------------------------------------------------
-
-TEST_F(RegistryFixture, F32SnapshotIsSmallerAndVerdictEquivalent) {
-  const auto path_f64 = temp_path("noodle_registry_f64.snap");
-  const auto path_f32 = temp_path("noodle_registry_f32.snap");
-  gen_a_->save(path_f64, nn::WeightPrecision::F64);
-  gen_a_->save(path_f32, nn::WeightPrecision::F32);
-
-  // Compaction: the weight payload dominates the archive, so f32 should be
-  // close to half the size.
-  const auto size_f64 = std::filesystem::file_size(path_f64);
-  const auto size_f32 = std::filesystem::file_size(path_f32);
-  EXPECT_LT(static_cast<double>(size_f32), 0.65 * static_cast<double>(size_f64));
-
-  // Round trip both through the registry: the f64 load is bit-identical,
-  // the f32 load is verdict-identical (same labels and regions; the
-  // probability moves by at most the f32 rounding of tiny CNNs).
-  serve::ModelRegistry registry;
-  const serve::ModelHandle full = registry.reload_from("full", path_f64);
-  const serve::ModelHandle compact = registry.reload_from("compact", path_f32);
-  for (std::size_t i = 0; i < samples_->size(); ++i) {
-    const core::DetectionReport exact = full->model().scan_features((*samples_)[i]);
-    EXPECT_TRUE(identical(exact, (*ref_a_)[i]));
-
-    const core::DetectionReport rounded = compact->model().scan_features((*samples_)[i]);
-    EXPECT_EQ(rounded.predicted_label, (*ref_a_)[i].predicted_label);
-    EXPECT_EQ(rounded.region.contains, (*ref_a_)[i].region.contains);
-    EXPECT_EQ(rounded.fusion_used, (*ref_a_)[i].fusion_used);
-    EXPECT_NEAR(rounded.probability, (*ref_a_)[i].probability, 5e-3);
-    EXPECT_NEAR(rounded.p_values[0], (*ref_a_)[i].p_values[0], 0.05);
-    EXPECT_NEAR(rounded.p_values[1], (*ref_a_)[i].p_values[1], 0.05);
-  }
-
-  std::filesystem::remove(path_f64);
-  std::filesystem::remove(path_f32);
-}
-
-TEST_F(RegistryFixture, I8SnapshotIsSmallerAndVerdictEquivalent) {
-  const auto path_f64 = temp_path("noodle_registry_i8_ref.snap");
-  const auto path_i8 = temp_path("noodle_registry_i8.snap");
-  gen_a_->save(path_f64, nn::WeightPrecision::F64);
-  gen_a_->save(path_i8, nn::WeightPrecision::I8);
-
-  // One byte plus amortized per-buffer scale per weight against eight bytes:
-  // the archive should shrink well past the f32 halving.
-  const auto size_f64 = std::filesystem::file_size(path_f64);
-  const auto size_i8 = std::filesystem::file_size(path_i8);
-  EXPECT_LT(static_cast<double>(size_i8), 0.45 * static_cast<double>(size_f64));
-
-  // int8 rounding is much coarser than f32, so the equivalence bar is the
-  // verdict, not the score: labels and regions must agree wherever the
-  // reference verdict is confident, and scores stay in the neighborhood.
-  serve::ModelRegistry registry;
-  const serve::ModelHandle quantized = registry.reload_from("quantized", path_i8);
-  for (std::size_t i = 0; i < samples_->size(); ++i) {
-    const core::DetectionReport& exact = (*ref_a_)[i];
-    const core::DetectionReport coarse =
-        quantized->model().scan_features((*samples_)[i]);
-    if (std::abs(exact.probability - 0.5) > 0.1) {
-      EXPECT_EQ(coarse.predicted_label, exact.predicted_label)
-          << "sample " << i << " flipped a confident verdict";
-      EXPECT_EQ(coarse.region.contains, exact.region.contains);
-    }
-    EXPECT_EQ(coarse.fusion_used, exact.fusion_used);
-    EXPECT_NEAR(coarse.probability, exact.probability, 0.1);
-    EXPECT_NEAR(coarse.p_values[0], exact.p_values[0], 0.15);
-    EXPECT_NEAR(coarse.p_values[1], exact.p_values[1], 0.15);
-  }
-
-  std::filesystem::remove(path_f64);
-  std::filesystem::remove(path_i8);
 }
 
 // --- stats view consistency --------------------------------------------------

@@ -256,34 +256,39 @@ TEST_F(DetectorSnapshot, CorruptedOrTruncatedSnapshotThrowsAndLeavesDetectorInta
   std::filesystem::remove(path);
 }
 
-TEST_F(DetectorSnapshot, ArchiveVersionTracksTheFeaturesUsed) {
-  // The writer stamps the LOWEST version able to represent the payload: a
-  // pure-f64 archive is byte-compatible with version 1 (old readers keep
-  // loading them), f32 weights need version 2, int8 weights version 3.
-  // All three must load here.
-  const auto version_byte = [](const std::filesystem::path& path) {
-    std::ifstream is(path, std::ios::binary);
-    std::string header(12, '\0');
-    is.read(header.data(), 12);
-    return static_cast<unsigned>(static_cast<unsigned char>(header[8]));
-  };
-
+TEST_F(DetectorSnapshot, ReaderAcceptsOnlyVersionOne) {
+  // Versions 2 and 3 once carried f32 and int8 weights. A re-stamped
+  // archive with a recomputed checksum passes every other check, so only
+  // the version gate can reject it.
   const auto path = temp_snapshot_path("noodle_versions.snap");
-  detector_->save(path, nn::WeightPrecision::F64);
-  EXPECT_EQ(version_byte(path), serve::kSnapshotVersionMin);
-  const core::NoodleDetector full = core::NoodleDetector::from_snapshot(path);
-  for (std::size_t i = 0; i < 4; ++i) {
-    expect_identical_report(full.scan_features((*samples_)[i]),
-                            detector_->scan_features((*samples_)[i]));
+  detector_->save(path);
+  std::string bytes;
+  {
+    std::ifstream is(path, std::ios::binary);
+    bytes.assign((std::istreambuf_iterator<char>(is)), std::istreambuf_iterator<char>());
   }
+  ASSERT_GT(bytes.size(), 16u);
+  EXPECT_EQ(static_cast<unsigned char>(bytes[8]), 1u);
 
-  detector_->save(path, nn::WeightPrecision::F32);
-  EXPECT_EQ(version_byte(path), 2u);
-  EXPECT_NO_THROW(core::NoodleDetector::from_snapshot(path));
+  const auto restamp = [&bytes](unsigned char version) {
+    std::string image = bytes.substr(0, bytes.size() - 8);
+    image[8] = static_cast<char>(version);
+    std::ostringstream checksum;
+    util::write_u64(checksum, util::fnv1a64(image));
+    return image + checksum.str();
+  };
+  ASSERT_EQ(restamp(1), bytes);  // the re-stamp itself keeps the archive valid
 
-  detector_->save(path, nn::WeightPrecision::I8);
-  EXPECT_EQ(version_byte(path), serve::kSnapshotVersion);
-  EXPECT_NO_THROW(core::NoodleDetector::from_snapshot(path));
+  for (const unsigned char version : {2, 3}) {
+    const std::string image = restamp(version);
+    {
+      std::ofstream os(path, std::ios::binary | std::ios::trunc);
+      os.write(image.data(), static_cast<std::streamsize>(image.size()));
+    }
+    core::NoodleDetector victim;
+    EXPECT_THROW(victim.load(path), serve::SnapshotError) << "version " << +version;
+    EXPECT_FALSE(victim.fitted());
+  }
   std::filesystem::remove(path);
 }
 

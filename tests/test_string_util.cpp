@@ -69,5 +69,20 @@ TEST(StringUtil, ZeroPad) {
   EXPECT_EQ(zero_pad(0, 1), "0");
 }
 
+TEST(StringUtil, ParseUnsignedAcceptsWholeDecimalStrings) {
+  EXPECT_EQ(parse_unsigned("0"), 0u);
+  EXPECT_EQ(parse_unsigned("42"), 42u);
+  EXPECT_EQ(parse_unsigned("18446744073709551615"), ~std::uint64_t{0});
+}
+
+TEST(StringUtil, ParseUnsignedRejectsAnythingElse) {
+  EXPECT_FALSE(parse_unsigned(""));
+  EXPECT_FALSE(parse_unsigned("-1"));  // std::stoul would wrap this to 2^64 - 1
+  EXPECT_FALSE(parse_unsigned("4x"));
+  EXPECT_FALSE(parse_unsigned(" 4"));
+  EXPECT_FALSE(parse_unsigned("+4"));
+  EXPECT_FALSE(parse_unsigned("18446744073709551616"));  // 2^64
+}
+
 }  // namespace
 }  // namespace noodle::util

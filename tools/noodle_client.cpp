@@ -25,11 +25,13 @@
 #include <cstring>
 #include <iostream>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "net/socket.h"
+#include "util/string_util.h"
 
 using namespace noodle;
 
@@ -58,24 +60,26 @@ Options parse_options(int argc, char** argv) {
     if (i + 1 >= argc) usage(argv[0], std::string("missing value for ") + argv[i]);
     return argv[++i];
   };
+  auto next_number = [&](int& i) -> std::uint64_t {
+    const std::string flag = argv[i];
+    const std::optional<std::uint64_t> value = util::parse_unsigned(next_value(i));
+    if (!value) usage(argv[0], "bad numeric value for " + flag);
+    return *value;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    try {
-      if (arg == "--host") {
-        options.host = next_value(i);
-      } else if (arg == "--port") {
-        const unsigned long port = std::stoul(next_value(i));
-        if (port == 0 || port > 65535) usage(argv[0], "--port wants 1-65535");
-        options.port = static_cast<int>(port);
-      } else if (arg == "--connections") {
-        options.connections = std::stoul(next_value(i));
-      } else if (arg == "--repeat") {
-        options.repeat = std::stoul(next_value(i));
-      } else {
-        usage(argv[0], "unknown option " + arg);
-      }
-    } catch (const std::exception&) {
-      usage(argv[0], "bad numeric value for " + arg);
+    if (arg == "--host") {
+      options.host = next_value(i);
+    } else if (arg == "--port") {
+      const std::uint64_t port = next_number(i);
+      if (port == 0 || port > 65535) usage(argv[0], "--port wants 1-65535");
+      options.port = static_cast<int>(port);
+    } else if (arg == "--connections") {
+      options.connections = next_number(i);
+    } else if (arg == "--repeat") {
+      options.repeat = next_number(i);
+    } else {
+      usage(argv[0], "unknown option " + arg);
     }
   }
   if (options.port < 0) usage(argv[0], "--port is required");

@@ -43,10 +43,6 @@
 //                     the first --model becomes the default when --snapshot
 //                     is absent
 //   --refit           fit even when the snapshot exists, then overwrite it
-//   --f32             save fitted snapshots with compact f32 weights (~2x smaller)
-//   --int8            save fitted snapshots with per-buffer-scaled int8
-//                     weights (~8x smaller; verdict-equivalent, not
-//                     bit-identical — see DESIGN.md §9)
 //   --quick           small training config (CI smoke / demos; seconds not
 //                     minutes)
 //   --batch N         max requests coalesced per detector batch (default 16)
@@ -143,6 +139,7 @@
 #include "serve/snapshot_store.h"
 #include "util/atomic_file.h"
 #include "util/csv.h"
+#include "util/string_util.h"
 
 using namespace noodle;
 
@@ -152,8 +149,6 @@ struct Options {
   std::filesystem::path snapshot;
   std::vector<std::pair<std::string, std::filesystem::path>> models;
   bool refit = false;
-  bool f32 = false;
-  bool int8 = false;
   bool quick = false;
   bool stats = false;
   bool lint = false;
@@ -182,8 +177,8 @@ struct Options {
 [[noreturn]] void usage(const char* argv0, const std::string& error = {}) {
   if (!error.empty()) std::cerr << "noodled: " << error << "\n";
   std::cerr << "usage: " << argv0
-            << " [--snapshot FILE] [--model NAME=PATH ...] [--refit] [--f32]"
-               " [--int8] [--quick] [--batch N] [--cache N] [--workers N] [--lint]"
+            << " [--snapshot FILE] [--model NAME=PATH ...] [--refit] [--quick]"
+               " [--batch N] [--cache N] [--workers N] [--lint]"
                " [--trace] [--metrics-file PATH] [--metrics-interval N]"
                " [--disk-cache DIR] [--disk-cache-bytes N] [--store DIR]"
                " [--store-interval N] [--seed N] [--stats] [--demo N]"
@@ -216,80 +211,77 @@ Options parse_options(int argc, char** argv) {
     if (i + 1 >= argc) usage(argv[0], std::string("missing value for ") + argv[i]);
     return argv[++i];
   };
+  auto next_number = [&](int& i) -> std::uint64_t {
+    const std::string flag = argv[i];
+    const std::optional<std::uint64_t> value = util::parse_unsigned(next_value(i));
+    if (!value) usage(argv[0], "bad numeric value for " + flag);
+    return *value;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    try {
-      if (arg == "--snapshot") {
-        options.snapshot = next_value(i);
-      } else if (arg == "--model") {
-        const std::string value = next_value(i);
-        const auto model = try_parse_name_path(value);
-        if (!model) usage(argv[0], "--model wants NAME=PATH, got '" + value + "'");
-        options.models.push_back(*model);
-      } else if (arg == "--refit") {
-        options.refit = true;
-      } else if (arg == "--f32") {
-        options.f32 = true;
-      } else if (arg == "--int8") {
-        options.int8 = true;
-      } else if (arg == "--quick") {
-        options.quick = true;
-      } else if (arg == "--stats") {
-        options.stats = true;
-      } else if (arg == "--lint") {
-        options.lint = true;
-      } else if (arg == "--trace") {
-        options.trace = true;
-      } else if (arg == "--metrics-file") {
-        options.metrics_file = next_value(i);
-      } else if (arg == "--metrics-interval") {
-        options.metrics_interval = std::stoul(next_value(i));
-      } else if (arg == "--disk-cache") {
-        options.disk_cache_dir = next_value(i);
-      } else if (arg == "--disk-cache-bytes") {
-        options.disk_cache_bytes = std::stoull(next_value(i));
-      } else if (arg == "--store") {
-        options.store_dir = next_value(i);
-      } else if (arg == "--store-interval") {
-        options.store_interval = std::stoul(next_value(i));
-      } else if (arg == "--batch") {
-        options.batch = std::stoul(next_value(i));
-      } else if (arg == "--cache") {
-        options.cache = std::stoul(next_value(i));
-      } else if (arg == "--workers") {
-        options.workers = std::stoul(next_value(i));
-      } else if (arg == "--seed") {
-        options.seed = std::stoull(next_value(i));
-      } else if (arg == "--demo") {
-        options.demo = std::stoul(next_value(i));
-      } else if (arg == "--listen") {
-        const unsigned long port = std::stoul(next_value(i));
-        if (port > 65535) usage(argv[0], "--listen wants a port (0-65535)");
-        options.listen = static_cast<int>(port);
-      } else if (arg == "--bind") {
-        options.bind_address = next_value(i);
-      } else if (arg == "--max-conns") {
-        options.net_max_conns = std::stoul(next_value(i));
-      } else if (arg == "--max-inflight") {
-        options.net_max_inflight = std::stoul(next_value(i));
-      } else if (arg == "--deadline-ms") {
-        options.net_deadline_ms = std::stoul(next_value(i));
-      } else if (arg == "--net-idle-ms") {
-        options.net_idle_ms = std::stoul(next_value(i));
-      } else if (arg == "--net-stall-ms") {
-        options.net_stall_ms = std::stoul(next_value(i));
-      } else if (arg == "--drain-grace-ms") {
-        options.net_grace_ms = std::stoul(next_value(i));
-      } else {
-        usage(argv[0], "unknown option " + arg);
-      }
-    } catch (const std::exception&) {  // stoul: invalid_argument or out_of_range
-      usage(argv[0], "bad numeric value for " + arg);
+    if (arg == "--snapshot") {
+      options.snapshot = next_value(i);
+    } else if (arg == "--model") {
+      const std::string value = next_value(i);
+      const auto model = try_parse_name_path(value);
+      if (!model) usage(argv[0], "--model wants NAME=PATH, got '" + value + "'");
+      options.models.push_back(*model);
+    } else if (arg == "--refit") {
+      options.refit = true;
+    } else if (arg == "--quick") {
+      options.quick = true;
+    } else if (arg == "--stats") {
+      options.stats = true;
+    } else if (arg == "--lint") {
+      options.lint = true;
+    } else if (arg == "--trace") {
+      options.trace = true;
+    } else if (arg == "--metrics-file") {
+      options.metrics_file = next_value(i);
+    } else if (arg == "--metrics-interval") {
+      options.metrics_interval = next_number(i);
+    } else if (arg == "--disk-cache") {
+      options.disk_cache_dir = next_value(i);
+    } else if (arg == "--disk-cache-bytes") {
+      options.disk_cache_bytes = next_number(i);
+    } else if (arg == "--store") {
+      options.store_dir = next_value(i);
+    } else if (arg == "--store-interval") {
+      options.store_interval = next_number(i);
+    } else if (arg == "--batch") {
+      options.batch = next_number(i);
+    } else if (arg == "--cache") {
+      options.cache = next_number(i);
+    } else if (arg == "--workers") {
+      options.workers = next_number(i);
+    } else if (arg == "--seed") {
+      options.seed = next_number(i);
+    } else if (arg == "--demo") {
+      options.demo = next_number(i);
+    } else if (arg == "--listen") {
+      const std::uint64_t port = next_number(i);
+      if (port > 65535) usage(argv[0], "--listen wants a port (0-65535)");
+      options.listen = static_cast<int>(port);
+    } else if (arg == "--bind") {
+      options.bind_address = next_value(i);
+    } else if (arg == "--max-conns") {
+      options.net_max_conns = next_number(i);
+    } else if (arg == "--max-inflight") {
+      options.net_max_inflight = next_number(i);
+    } else if (arg == "--deadline-ms") {
+      options.net_deadline_ms = next_number(i);
+    } else if (arg == "--net-idle-ms") {
+      options.net_idle_ms = next_number(i);
+    } else if (arg == "--net-stall-ms") {
+      options.net_stall_ms = next_number(i);
+    } else if (arg == "--drain-grace-ms") {
+      options.net_grace_ms = next_number(i);
+    } else {
+      usage(argv[0], "unknown option " + arg);
     }
   }
   if (options.batch == 0) usage(argv[0], "--batch must be positive");
   if (options.workers == 0) usage(argv[0], "--workers must be positive");
-  if (options.f32 && options.int8) usage(argv[0], "--f32 and --int8 are exclusive");
   if (options.listen >= 0 && options.net_max_conns == 0) {
     usage(argv[0], "--max-conns must be positive");
   }
@@ -333,18 +325,8 @@ void publish_default(serve::ModelRegistry& registry, const Options& options) {
     detector.fit_default();
   }
   if (!options.snapshot.empty()) {
-    nn::WeightPrecision precision = nn::WeightPrecision::F64;
-    const char* note = "";
-    if (options.f32) {
-      precision = nn::WeightPrecision::F32;
-      note = " (f32 weights)";
-    } else if (options.int8) {
-      precision = nn::WeightPrecision::I8;
-      note = " (int8 weights)";
-    }
-    detector.save(options.snapshot, precision);
-    std::cerr << "noodled: saved snapshot to " << options.snapshot.string() << note
-              << "\n";
+    detector.save(options.snapshot);
+    std::cerr << "noodled: saved snapshot to " << options.snapshot.string() << "\n";
   }
   registry.publish(serve::kDefaultModelName, detector.fitted_model(),
                    options.snapshot);
