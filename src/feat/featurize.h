@@ -20,7 +20,9 @@
 // (parse_module + build_netgraph + graph_features + tabular_features);
 // tests assert this across the bundled corpus.
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -48,6 +50,13 @@ inline constexpr std::uint32_t kFeatureVersion = 2;
 
 class FeaturizeWorkspace {
  public:
+  /// Parser state (see verilog::ParserWorkspace::retained_bytes) past which
+  /// the next featurize() drops every intermediate and starts from a fresh
+  /// state. A corpus design stays far below it; one outsized request (a
+  /// legal 1 MiB line) then costs its worker that memory for one request
+  /// instead of for the thread's lifetime.
+  static constexpr std::size_t kMaxRetainedBytes = std::size_t{1} << 20;
+
   /// `max_retained_symbols` bounds the intern pool across calls (see
   /// verilog::ParserWorkspace): when exceeded, the pool is reset and
   /// re-seeded before the next parse, so a worker featurizing arbitrarily
@@ -67,7 +76,7 @@ class FeaturizeWorkspace {
                  std::vector<double>& tabular_out);
 
   /// The graph built by the last featurize() call (valid until the next).
-  const graph::NetGraph& last_graph() const noexcept { return graph_; }
+  const graph::NetGraph& last_graph() const noexcept { return state_->graph; }
 
   /// The arena module parsed by the last featurize() call, or nullptr if
   /// none yet. Arena-resident: valid until the next featurize(). Lets the
@@ -75,15 +84,22 @@ class FeaturizeWorkspace {
   const verilog::fast::Module* last_module() const noexcept { return module_; }
 
   /// Introspection for tests/benches.
-  const verilog::ParserWorkspace& parser() const noexcept { return parser_; }
+  const verilog::ParserWorkspace& parser() const noexcept { return state_->parser; }
 
  private:
-  verilog::ParserWorkspace parser_;
+  /// Every grow-only intermediate, replaced as a whole when outsized.
+  struct State {
+    explicit State(std::size_t max_retained_symbols);
+    verilog::ParserWorkspace parser;
+    graph::NetGraph graph;  // shares parser's intern pool
+    graph::BuildScratch build;
+    graph::FeatureScratch features;
+    TabularScratch tabular;
+  };
+
+  std::size_t max_retained_symbols_;
+  std::unique_ptr<State> state_;
   const verilog::fast::Module* module_ = nullptr;  // arena-resident
-  graph::NetGraph graph_;  // shares parser_'s intern pool
-  graph::BuildScratch build_scratch_;
-  graph::FeatureScratch feature_scratch_;
-  TabularScratch tabular_scratch_;
 };
 
 /// The calling thread's workspace (created on first use, reused for the

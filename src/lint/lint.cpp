@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <type_traits>
 
 #include "verilog/token.h"
 
@@ -748,6 +749,8 @@ void LintWorkspace::rule_output_muxes() {
 std::span<const Finding> LintWorkspace::run(const Module& module,
                                             const graph::NetGraph& graph,
                                             const util::SymbolTable& symbols) {
+  if (retained_nodes_ > kMaxRetainedNodes) release_storage();
+  retained_nodes_ = std::max(retained_nodes_, graph.node_count());
   module_ = &module;
   graph_ = &graph;
   symbols_ = &symbols;
@@ -770,6 +773,23 @@ std::span<const Finding> LintWorkspace::run(const Module& module,
   rule_output_muxes();
 
   return {findings_.data(), findings_.size()};
+}
+
+void LintWorkspace::release_storage() {
+  const auto release = [](auto& storage) {
+    storage = std::remove_reference_t<decltype(storage)>();
+  };
+  release(findings_);
+  release(signal_index_);
+  release(signals_);
+  release(proc_assigns_);
+  release(cond_pool_);
+  release(cond_stack_);
+  release(block_assigns_);
+  release(sym_scratch_);
+  release(node_excluded_);
+  release(graph_scratch_);
+  retained_nodes_ = 0;
 }
 
 LintWorkspace& thread_workspace() {

@@ -93,10 +93,16 @@ std::string format_finding(const OwnedFinding& finding);
 
 /// Reusable analysis state for one lint pass: per-signal driver/read
 /// accounting, the procedural-assignment table with enclosing-condition
-/// chains, and the graph scratch for cycle detection. Grow-only; after
-/// warm-up, run() touches the heap zero times.
+/// chains, and the graph scratch for cycle detection. Grow-only below
+/// kMaxRetainedNodes; after warm-up, run() touches the heap zero times.
 class LintWorkspace {
  public:
+  /// Graph size past which the next run() first frees every container,
+  /// so one outsized module does not keep its storage resident for the
+  /// thread's lifetime (the rule feat::FeaturizeWorkspace applies to the
+  /// parse). A corpus design lowers to a few hundred nodes.
+  static constexpr std::size_t kMaxRetainedNodes = std::size_t{1} << 14;
+
   LintWorkspace() = default;
   LintWorkspace(const LintWorkspace&) = delete;
   LintWorkspace& operator=(const LintWorkspace&) = delete;
@@ -108,7 +114,13 @@ class LintWorkspace {
                                const graph::NetGraph& graph,
                                const util::SymbolTable& symbols);
 
+  /// Largest graph linted since the containers were last freed.
+  std::size_t retained_nodes() const noexcept { return retained_nodes_; }
+
  private:
+  /// Frees every container (clear() keeps their capacity).
+  void release_storage();
+
   // Everything a rule needs to know about one declared signal.
   struct SignalInfo {
     util::Symbol name = util::kNoSymbol;
@@ -170,6 +182,7 @@ class LintWorkspace {
   std::vector<util::Symbol> sym_scratch_;
   std::vector<std::uint8_t> node_excluded_;
   graph::AnalysisScratch graph_scratch_;
+  std::size_t retained_nodes_ = 0;
 };
 
 /// The calling thread's workspace (created on first use) — how scan paths

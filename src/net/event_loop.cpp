@@ -98,10 +98,16 @@ void EventLoop::watch_signal(int signo, std::function<void(int)> callback) {
 }
 
 void EventLoop::post(std::function<void()> task) {
+  bool first = false;
   {
     std::lock_guard<std::mutex> lock(posted_mu_);
+    first = posted_.empty();
     posted_.push_back(std::move(task));
   }
+  // One doorbell per batch of posts: a non-empty queue already has a write
+  // pending that drain_posted() has not answered yet (it empties the queue
+  // only after run() has read the eventfd), and it drains every task.
+  if (!first) return;
   const std::uint64_t one = 1;
   [[maybe_unused]] const ssize_t ignored = ::write(wakeup_.get(), &one, sizeof one);
 }

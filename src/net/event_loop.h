@@ -79,7 +79,8 @@ class EventLoop {
 
   /// Enqueues `task` to run on the loop thread and wakes the loop. Safe
   /// from any thread, including the loop thread itself (runs next round —
-  /// never recursively).
+  /// never recursively). Only a post into an empty queue writes the
+  /// wake-up eventfd; later posts ride the same wake-up.
   void post(std::function<void()> task);
 
   /// Makes run() return once the current round's handlers finish. Safe

@@ -81,7 +81,8 @@ DetectionService::DetectionService(std::shared_ptr<ModelRegistry> registry,
     : registry_(require_registry(std::move(registry))),
       default_model_(std::move(default_model)),
       config_(validate(config)),
-      lint_(config_.lint) {
+      lint_(config_.lint),
+      wake_slots_(config_.workers) {
   // Runs before any request can exist (submit() requires a constructed
   // service), so the hot paths always see registered metric handles.
   register_metrics();
@@ -91,10 +92,11 @@ DetectionService::DetectionService(std::shared_ptr<ModelRegistry> registry,
     disk_cache_ = std::make_unique<PersistentVerdictCache>(config_.disk_cache);
   }
   // Last, so a throw above leaves no thread to join.
+  idle_.reserve(config_.workers);
   workers_.reserve(config_.workers);
   try {
-    for (std::size_t i = 0; i < config_.workers; ++i) {
-      workers_.emplace_back([this] { worker_loop(); });
+    for (WakeSlot& slot : wake_slots_) {
+      workers_.emplace_back([this, &slot] { worker_loop(slot); });
     }
   } catch (...) {
     stop_workers();
@@ -186,8 +188,12 @@ void DetectionService::stop_workers() {
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     stopping_ = true;
+    for (WakeSlot* slot : idle_) {
+      slot->woken = true;
+      slot->cv.notify_one();
+    }
+    idle_.clear();
   }
-  queue_cv_.notify_all();
   // Workers answer everything still queued before they return; promises
   // for requests queued after stopping_ never exist because submit()
   // rejects them up front.
@@ -313,6 +319,7 @@ std::future<core::DetectionReport> DetectionService::submit_request(
     future = {};
   }
   bool rejected = false;
+  WakeSlot* wake = nullptr;
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     if (stopping_) {
@@ -323,6 +330,14 @@ std::future<core::DetectionReport> DetectionService::submit_request(
     } else {
       queue_.push_back(std::move(request));
       ++outstanding_;
+      // The most recently idle worker: notify_one on a shared condition
+      // variable would wake the longest idle one, rotating a light load
+      // through every worker's cold caches.
+      if (!idle_.empty()) {
+        wake = idle_.back();
+        idle_.pop_back();
+        wake->woken = true;
+      }
     }
   }
   if (rejected) {
@@ -332,7 +347,8 @@ std::future<core::DetectionReport> DetectionService::submit_request(
         std::runtime_error("DetectionService::submit: service is shutting down")));
     return {};
   }
-  queue_cv_.notify_one();
+  // Slots outlive every submit, so notifying after the unlock is safe.
+  if (wake != nullptr) wake->cv.notify_one();
   return future;
 }
 
@@ -471,16 +487,29 @@ std::size_t DetectionService::cache_size() const {
   return cache_.size();
 }
 
-void DetectionService::worker_loop() {
+void DetectionService::worker_loop(WakeSlot& slot) {
+  std::size_t answered = 0;  // requests of the last batch
   for (;;) {
     std::vector<Request> batch;
     {
       std::unique_lock<std::mutex> lock(queue_mutex_);
-      queue_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+      // The last batch retires in the same critical section that parks
+      // the worker, so once drain() returns every worker is idle again.
+      outstanding_ -= answered;
+      if (answered != 0 && outstanding_ == 0) drained_cv_.notify_all();
+      while (queue_.empty() && !stopping_) {
+        // Woken means popped off the stack by a submit (or by
+        // stop_workers); another worker may still have taken the request
+        // first, and then this one parks again on top.
+        slot.woken = false;
+        idle_.push_back(&slot);
+        slot.cv.wait(lock, [&slot] { return slot.woken; });
+      }
       if (queue_.empty()) return;  // stopping, and nothing left to answer
       // An idle worker scans what is waiting now; a batch grows only by
       // what queued while every worker was busy.
       const std::size_t take = std::min(config_.max_batch, queue_.size());
+      answered = take;
       batch.reserve(take);
       for (std::size_t i = 0; i < take; ++i) {
         batch.push_back(std::move(queue_.front()));
@@ -511,7 +540,6 @@ void DetectionService::process_group(const std::string& group_label,
                                      std::vector<Request> group) {
   // Every request in a group names the same model, so they share a cell.
   ModelCounters& counters = *group.front().counters;
-  const std::size_t submitted = group.size();
   // Queue wait: submit() to this pickup, per request, on the one monotonic
   // clock every span uses.
   const std::uint64_t pickup_nanos = obs::now_nanos();
@@ -541,10 +569,7 @@ void DetectionService::process_group(const std::string& group_label,
       }
     }
     group = std::move(live);
-    if (group.empty()) {
-      finish_requests(submitted);
-      return;
-    }
+    if (group.empty()) return;
   }
 
   const ModelHandle handle = registry_->try_resolve(group.front().spec);
@@ -553,7 +578,6 @@ void DetectionService::process_group(const std::string& group_label,
         RegistryError("DetectionService: no model '" + group_label + "'"));
     counters.model_misses->inc(group.size());
     for (Request& request : group) request.fail(error);
-    finish_requests(submitted);
     return;
   }
 
@@ -646,10 +670,6 @@ void DetectionService::process_group(const std::string& group_label,
       counters.lint_by_rule[static_cast<std::size_t>(finding.rule)]->inc();
     }
   }
-  for (std::size_t s = 0; s < reports.size(); ++s) {
-    cache_store(CacheKey{handle->id(), group[sample_owner[s]].key},
-                group[sample_owner[s]].source, reports[s]);
-  }
   if (disk_cache_ != nullptr) {
     // Queue for the disk tier's background writer: the handoff is a queue
     // push, never a disk write, so promise fulfillment below is not held
@@ -662,6 +682,12 @@ void DetectionService::process_group(const std::string& group_label,
           group[sample_owner[s]].source, reports[s]);
     }
   }
+  // After the disk tier copied it, each source moves into its LRU entry:
+  // nothing below reads a request's source again.
+  for (std::size_t s = 0; s < reports.size(); ++s) {
+    cache_store(CacheKey{handle->id(), group[sample_owner[s]].key},
+                std::move(group[sample_owner[s]].source), reports[s]);
+  }
 
   for (auto& [owner, error] : rejected) group[owner].fail(error);
   if (batch_error) {
@@ -673,16 +699,6 @@ void DetectionService::process_group(const std::string& group_label,
       group[sample_owner[s]].deliver(std::move(reports[s]));
     }
   }
-  finish_requests(submitted);
-}
-
-void DetectionService::finish_requests(std::size_t count) {
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    outstanding_ -= count;
-    if (outstanding_ != 0) return;
-  }
-  drained_cv_.notify_all();
 }
 
 DetectionService::CacheProbe DetectionService::cache_lookup(
@@ -705,19 +721,19 @@ DetectionService::CacheProbe DetectionService::cache_lookup(
   return CacheProbe::kHit;
 }
 
-void DetectionService::cache_store(const CacheKey& key, const std::string& source,
+void DetectionService::cache_store(const CacheKey& key, std::string source,
                                    const core::DetectionReport& report) {
   if (config_.cache_capacity == 0) return;
   std::lock_guard<std::mutex> lock(cache_mutex_);
   const auto it = cache_.find(key);
   if (it != cache_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second.position);
-    it->second.source = source;
+    it->second.source = std::move(source);
     it->second.report = report;
     return;
   }
   lru_.push_front(key);
-  cache_.emplace(key, CacheEntry{source, report, lru_.begin()});
+  cache_.emplace(key, CacheEntry{std::move(source), report, lru_.begin()});
   while (cache_.size() > config_.cache_capacity) {
     cache_.erase(lru_.back());
     lru_.pop_back();

@@ -8,7 +8,9 @@
 //   * `workers` threads pull from the request queue: each takes up to
 //     max_batch of whatever is waiting and scans it itself, so a request
 //     that finds a worker idle is scanned at once, and batches form only
-//     from what queued while every worker was busy; each batch group
+//     from what queued while every worker was busy. A submit wakes the
+//     worker that went idle most recently, so a light load stays on one
+//     warm thread instead of rotating through all of them; each batch group
 //     resolves its registry handle ONCE, so every verdict in a group comes
 //     from exactly one generation even while reload_from() swaps models
 //     live;
@@ -206,7 +208,8 @@ class DetectionService {
   void submit_async(const std::string& model_spec, std::string verilog_source,
                     SubmitOptions options, CompletionFn on_complete);
 
-  /// Blocks until every request submitted so far has been answered.
+  /// Blocks until every request submitted so far has been answered and
+  /// every worker that answered one is idle again.
   void drain();
 
   /// Aggregate counters: the sum of every model's cells (see ServiceStats).
@@ -363,21 +366,28 @@ class DetectionService {
   std::future<core::DetectionReport> submit_request(ModelSpec spec, std::string source,
                                                     SubmitOptions options,
                                                     CompletionFn on_complete);
-  /// One worker thread: blocks until requests are queued, takes up to
-  /// max_batch of them, scans them, repeats; returns once stopping with
-  /// an empty queue. Each batch passes the "serve.batch" util::FaultInjector
-  /// crash point after leaving the queue and before its pickup time is
-  /// stamped (a test holds the worker there to keep work in flight).
-  void worker_loop();
+  /// How submit() wakes one particular idle worker. Guarded by
+  /// queue_mutex_; one per worker, living as long as the service.
+  struct WakeSlot {
+    std::condition_variable cv;
+    bool woken = false;
+  };
+
+  /// One worker thread: parks its slot on the idle stack until requests
+  /// are queued, takes up to max_batch of them, scans them, repeats;
+  /// returns once stopping with an empty queue. Each batch passes the
+  /// "serve.batch" util::FaultInjector crash point after leaving the queue
+  /// and before its pickup time is stamped (a test holds the worker there
+  /// to keep work in flight).
+  void worker_loop(WakeSlot& slot);
   /// Stops and joins the workers; the queue is answered first.
   void stop_workers();
   void process_batch(std::vector<Request> batch);
   void process_group(const std::string& group_label, std::vector<Request> group);
   CacheProbe cache_lookup(const CacheKey& key, const std::string& source,
                           bool want_lint, core::DetectionReport& report);
-  void cache_store(const CacheKey& key, const std::string& source,
+  void cache_store(const CacheKey& key, std::string source,
                    const core::DetectionReport& report);
-  void finish_requests(std::size_t count);
   /// Registers the service's own metrics (constructor only).
   void register_metrics();
   /// The cell counting requests for model `name`: found, or registered on
@@ -390,7 +400,10 @@ class DetectionService {
   std::atomic<bool> lint_{false};  // seeded from config_.lint
 
   mutable std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
+  std::vector<WakeSlot> wake_slots_;  ///< one per worker, sized at construction
+  /// Slots of the idle workers; submit() wakes the back one, the worker
+  /// that went idle most recently (its caches are the warmest).
+  std::vector<WakeSlot*> idle_;
   std::condition_variable drained_cv_;
   std::deque<Request> queue_;
   std::size_t outstanding_ = 0;  ///< submitted but not yet answered

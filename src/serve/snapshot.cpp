@@ -1,6 +1,8 @@
 #include "serve/snapshot.h"
 
+#include <algorithm>
 #include <fstream>
+#include <system_error>
 
 #include "util/binary_io.h"
 
@@ -58,8 +60,34 @@ void SnapshotWriter::write_file(const std::filesystem::path& path) {
 // SnapshotReader
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// The whole stream, refused once it is longer than kMaxSnapshotBytes.
+std::string read_capped(std::istream& is) {
+  constexpr std::size_t kFirstChunk = 64 * 1024;
+  std::string bytes;
+  while (is && bytes.size() < kMaxSnapshotBytes) {
+    // Doubling reads that land exactly on the cap, so the buffer never
+    // grows past it.
+    const std::size_t old = bytes.size();
+    const std::size_t step =
+        std::min(std::max(old, kFirstChunk), kMaxSnapshotBytes - old);
+    bytes.resize(old + step);
+    is.read(bytes.data() + old, static_cast<std::streamsize>(step));
+    bytes.resize(old + static_cast<std::size_t>(is.gcount()));
+  }
+  if (bytes.size() == kMaxSnapshotBytes &&
+      is.peek() != std::istream::traits_type::eof()) {
+    throw SnapshotError("snapshot: archive exceeds the " +
+                        std::to_string(kMaxSnapshotBytes) + "-byte limit");
+  }
+  return bytes;
+}
+
+}  // namespace
+
 SnapshotReader::SnapshotReader(std::istream& is) {
-  std::string bytes((std::istreambuf_iterator<char>(is)), std::istreambuf_iterator<char>());
+  std::string bytes = read_capped(is);
   constexpr std::size_t kHeaderSize = 8 + 4 + 4;
   constexpr std::size_t kChecksumSize = 8;
   if (bytes.size() < kHeaderSize + kChecksumSize) {
@@ -109,6 +137,23 @@ SnapshotReader::SnapshotReader(std::istream& is) {
 }
 
 SnapshotReader SnapshotReader::from_file(const std::filesystem::path& path) {
+  // A device, FIFO or directory is refused before it is opened: /dev/zero
+  // would otherwise be read up to the cap.
+  std::error_code error;
+  const std::filesystem::file_status status = std::filesystem::status(path, error);
+  if (!std::filesystem::exists(status)) {
+    throw SnapshotError("snapshot: cannot open " + path.string());
+  }
+  if (!std::filesystem::is_regular_file(status)) {
+    throw SnapshotError("snapshot: " + path.string() + " is not a regular file");
+  }
+  const std::uintmax_t size = std::filesystem::file_size(path, error);
+  if (error) throw SnapshotError("snapshot: cannot stat " + path.string());
+  if (size > kMaxSnapshotBytes) {
+    throw SnapshotError("snapshot: " + path.string() + " is " + std::to_string(size) +
+                        " bytes, over the " + std::to_string(kMaxSnapshotBytes) +
+                        "-byte limit");
+  }
   std::ifstream is(path, std::ios::binary);
   if (!is) throw SnapshotError("snapshot: cannot open " + path.string());
   return SnapshotReader(is);

@@ -44,6 +44,11 @@ inline constexpr std::uint64_t kSnapshotMagic = 0x31504e53444f4f4eULL;
 /// header and must be refit.
 inline constexpr std::uint32_t kSnapshotVersion = 1;
 
+/// Largest archive SnapshotReader accepts. A --quick model is 137 769
+/// bytes; the cap is what keeps a reload naming /dev/zero or a runaway
+/// file from reading until the host runs out of memory.
+inline constexpr std::size_t kMaxSnapshotBytes = std::size_t{64} << 20;
+
 /// Accumulates tagged sections in memory, then writes the framed, checksummed
 /// archive in one pass. Usage:
 ///
@@ -81,9 +86,12 @@ class SnapshotWriter {
 class SnapshotReader {
  public:
   /// Throws SnapshotError if the bytes are not a valid version-matched
-  /// archive.
+  /// archive. Reads at most kMaxSnapshotBytes + 1 bytes: a stream longer
+  /// than the cap is refused once that byte arrives.
   explicit SnapshotReader(std::istream& is);
 
+  /// Stats `path` first and refuses, without reading it, anything but a
+  /// regular file of at most kMaxSnapshotBytes.
   static SnapshotReader from_file(const std::filesystem::path& path);
 
   bool has_section(std::string_view tag) const;

@@ -45,6 +45,13 @@ class SymbolTable {
 
   std::size_t size() const noexcept { return entries_.size(); }
 
+  /// Heap bytes the table holds: character arena, entry vector and slot
+  /// array capacity. reset() keeps all of it.
+  std::size_t bytes_reserved() const noexcept {
+    return chars_.bytes_reserved() + entries_.capacity() * sizeof(Entry) +
+           slots_.capacity() * sizeof(Symbol);
+  }
+
   /// Forgets every interned spelling but keeps all storage capacity (the
   /// slot array, entry vector, and character arena). Every previously
   /// issued Symbol and text() view is invalidated — callers re-seed any

@@ -66,9 +66,11 @@ class ParserWorkspace {
   /// reset and re-seeded (at the start of the *next* parse). Bounds the
   /// memory of a long-lived worker featurizing arbitrarily diverse RTL —
   /// without the trim, every net name and constant spelling ever seen
-  /// would stay interned forever. Far above any single design's
-  /// vocabulary, so steady-state reuse on similar inputs never trips it.
-  static constexpr std::size_t kDefaultMaxRetainedSymbols = 1u << 16;
+  /// would stay interned forever, and the pool's storage with them (reset
+  /// keeps capacity, so the cap is also the pool's steady-state size).
+  /// A corpus design interns at most 38 identifiers beside the 48
+  /// preinterned ones, so 1 024 is 12x the largest single vocabulary.
+  static constexpr std::size_t kDefaultMaxRetainedSymbols = 1u << 10;
 
   explicit ParserWorkspace(
       std::size_t max_retained_symbols = kDefaultMaxRetainedSymbols);
@@ -90,6 +92,15 @@ class ParserWorkspace {
   const std::shared_ptr<util::SymbolTable>& symbols() const noexcept { return symbols_; }
 
   const util::Arena& arena() const noexcept { return arena_; }
+
+  /// Heap bytes held between parses by the token buffer, the arena and the
+  /// intern pool. Grow-only like them, and every structure a parse feeds
+  /// (graph, analysis scratch, lint state) grows with them, so it measures
+  /// the largest input this workspace has seen.
+  std::size_t retained_bytes() const noexcept {
+    return tokens_.capacity() * sizeof(Token) + arena_.bytes_reserved() +
+           symbols_->bytes_reserved();
+  }
 
   /// Drops every non-vocabulary symbol now (normally automatic via the
   /// retention limit). Invalidates symbols held by anything produced by

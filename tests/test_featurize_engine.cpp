@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -465,6 +466,59 @@ TEST(SymbolTable, RetentionLimitBoundsLongLivedWorkers) {
     EXPECT_LT(ws.parser().symbols()->size(),
               static_cast<std::size_t>(verilog::kPreinternedSymbolCount) + 200)
         << "intern pool must stay bounded under diverse inputs";
+  }
+}
+
+TEST(FeaturizeMemory, OutsizedRequestIsNotRetained) {
+  // One legal outsized line (tens of thousands of distinct wires) grows
+  // every intermediate of the thread's workspace. The next featurize, of
+  // an ordinary design, starts from fresh state, so a worker does not keep
+  // that memory for its lifetime, and its features stay exact. The same
+  // holds when the outsized line fails to parse, or fails to lex after its
+  // tokens filled the buffer.
+  std::string body = "module big(input a, output y);";
+  for (int w = 0; w < 60000; ++w) body += " wire w" + std::to_string(w) + ";";
+  const struct {
+    std::string source;
+    const char* what;
+  } outsized_inputs[] = {
+      {body + " assign y = a; endmodule", "an outsized design"},
+      {body + " assign y = ;", "an outsized parse error"},
+      {body + " /* unterminated", "an outsized lex error"},
+  };
+  const std::string& small = bundled_corpus().front().verilog;
+  const FeaturePair want = reference_features(small);
+
+  for (const auto& outsized : outsized_inputs) {
+    std::size_t grown_bytes = 0, grown_symbols = 0;
+    std::size_t arena_after = 0, retained_after = 0, symbols_after = 0;
+    FeaturePair got;
+    std::thread worker([&] {
+      feat::FeaturizeWorkspace& ws = feat::thread_workspace();
+      std::vector<double> g, t;
+      try {
+        ws.featurize(outsized.source, g, t);
+      } catch (const verilog::ParseError&) {
+      } catch (const verilog::LexError&) {
+      }
+      grown_bytes = ws.parser().retained_bytes();
+      grown_symbols = ws.parser().symbols()->size();
+      got = workspace_features(ws, small);
+      arena_after = ws.parser().arena().bytes_reserved();
+      retained_after = ws.parser().retained_bytes();
+      symbols_after = ws.parser().symbols()->size();
+    });
+    worker.join();
+    EXPECT_GT(grown_bytes, feat::FeaturizeWorkspace::kMaxRetainedBytes) << outsized.what;
+    if (&outsized == &outsized_inputs[0]) {
+      EXPECT_GT(grown_symbols, verilog::ParserWorkspace::kDefaultMaxRetainedSymbols);
+    }
+    EXPECT_LE(arena_after, feat::FeaturizeWorkspace::kMaxRetainedBytes) << outsized.what;
+    EXPECT_LE(retained_after, feat::FeaturizeWorkspace::kMaxRetainedBytes)
+        << outsized.what;
+    EXPECT_LE(symbols_after, verilog::ParserWorkspace::kDefaultMaxRetainedSymbols)
+        << outsized.what;
+    expect_identical(want, got, std::string("after ") + outsized.what);
   }
 }
 

@@ -570,5 +570,42 @@ TEST(LintAllocation, WarmRunIsAllocationFree) {
   EXPECT_TRUE(counter_flagged);  // the run still found the planted shapes
 }
 
+TEST(LintAllocations, OutsizedModuleIsNotRetained) {
+  // A module past kMaxRetainedNodes grows every container of the
+  // workspace; the next run frees them before it starts, and its findings
+  // match a fresh workspace's.
+  std::string big = "module big(input a, output y);";
+  for (int w = 0; w < 20000; ++w) big += " wire w" + std::to_string(w) + ";";
+  big += " assign y = a; endmodule";
+  const std::string small =
+      "module s(input a, output y);\n  wire unused;\n  assign y = a;\nendmodule\n";
+
+  verilog::ParserWorkspace parser;
+  graph::NetGraph netgraph(parser.symbols());
+  graph::BuildScratch scratch;
+  lint::LintWorkspace workspace;
+  const auto lint_reused = [&](const std::string& source) {
+    const verilog::fast::Module& module = parser.parse_single(source);
+    graph::build_netgraph(module, netgraph, scratch);
+    std::vector<std::string> out;
+    for (const lint::Finding& finding :
+         workspace.run(module, netgraph, *parser.symbols())) {
+      out.push_back(lint::format_finding(lint::to_owned(finding, *parser.symbols())));
+    }
+    return out;
+  };
+
+  EXPECT_GE(lint_reused(big).size(), 20000u);  // every wire is unused
+  EXPECT_GT(workspace.retained_nodes(), lint::LintWorkspace::kMaxRetainedNodes);
+  const std::vector<std::string> got = lint_reused(small);
+  EXPECT_LE(workspace.retained_nodes(), lint::LintWorkspace::kMaxRetainedNodes);
+  std::vector<std::string> want;
+  for (const lint::OwnedFinding& finding : lint_source(small)) {
+    want.push_back(lint::format_finding(finding));
+  }
+  EXPECT_FALSE(want.empty());
+  EXPECT_EQ(got, want);
+}
+
 }  // namespace
 }  // namespace noodle

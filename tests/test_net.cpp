@@ -12,6 +12,7 @@
 #include <poll.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -21,6 +22,7 @@
 #include <fstream>
 #include <functional>
 #include <future>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -86,6 +88,44 @@ TEST(EventLoopTest, PostedTasksRunOnTheLoopThread) {
   runner.join();
   EXPECT_EQ(ran.load(), 3);
   EXPECT_EQ(loop_tid, runner_tid);
+}
+
+TEST(EventLoopTest, ConcurrentPostsEachRunExactlyOnce) {
+  // post() writes the wake-up eventfd only into an empty queue; racing
+  // posters must still never lose or repeat a task.
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 5000;
+  net::EventLoop loop;
+  std::vector<int> runs(kThreads * kPerThread, 0);  // touched by the loop only
+  std::thread runner([&] { loop.run(); });
+  std::vector<std::thread> posters;
+  for (int t = 0; t < kThreads; ++t) {
+    posters.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        loop.post([&runs, index = t * kPerThread + i] { ++runs[index]; });
+      }
+    });
+  }
+  for (std::thread& poster : posters) poster.join();
+  loop.post([&] { loop.stop(); });
+  runner.join();
+  EXPECT_EQ(std::count(runs.begin(), runs.end(), 1), kThreads * kPerThread);
+}
+
+TEST(EventLoopTest, PostToAnIdleLoopRunsPromptly) {
+  // An idle loop blocks in epoll_wait with no timeout; each post into the
+  // empty queue must ring the doorbell again.
+  net::EventLoop loop;
+  std::thread runner([&] { loop.run(); });
+  for (int round = 0; round < 3; ++round) {
+    std::this_thread::sleep_for(20ms);  // let the loop go idle
+    auto ran = std::make_shared<std::promise<void>>();  // outlives a late task
+    std::future<void> done = ran->get_future();
+    loop.post([ran] { ran->set_value(); });
+    EXPECT_EQ(done.wait_for(1s), std::future_status::ready) << round;
+  }
+  loop.post([&] { loop.stop(); });
+  runner.join();
 }
 
 TEST(EventLoopTest, WatchedSignalsDeliverAsLoopCallbacks) {

@@ -6,17 +6,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <mutex>
 #include <sstream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/detector.h"
 #include "serve/service.h"
 #include "serve/snapshot.h"
 #include "util/binary_io.h"
+#include "util/fault_injector.h"
 #include "worker_latch.h"
 
 namespace noodle {
@@ -114,6 +119,43 @@ TEST(SnapshotArchive, RejectsBadMagicVersionTruncationAndCorruption) {
     std::istringstream is(bytes);  // pristine bytes still parse
     EXPECT_NO_THROW(serve::SnapshotReader reader(is));
   }
+}
+
+bool names_the_size_limit(const serve::SnapshotError& error) {
+  return std::string(error.what()).find("limit") != std::string::npos;
+}
+
+TEST(SnapshotArchive, RefusesNonRegularFilesWithoutReadingThem) {
+  // /dev/zero never ends: it is refused by its file type before a byte is
+  // read, as is a directory.
+  ASSERT_TRUE(std::filesystem::exists("/dev/zero"));
+  EXPECT_THROW(serve::SnapshotReader::from_file("/dev/zero"), serve::SnapshotError);
+  EXPECT_THROW(serve::SnapshotReader::from_file(std::filesystem::temp_directory_path()),
+               serve::SnapshotError);
+}
+
+TEST(SnapshotArchive, RefusesArchivesOverTheSizeCap) {
+  const auto path = std::filesystem::temp_directory_path() / "noodle_oversized.snap";
+  { std::ofstream create(path, std::ios::binary); }
+  std::filesystem::resize_file(path, serve::kMaxSnapshotBytes + 1);  // sparse
+  try {
+    serve::SnapshotReader::from_file(path);
+    ADD_FAILURE() << "an archive over the cap was accepted";
+  } catch (const serve::SnapshotError& e) {
+    EXPECT_TRUE(names_the_size_limit(e)) << e.what();
+  }
+  {
+    // The stream constructor stops reading at cap + 1 bytes on its own;
+    // without the cap these zeros would fail the magic check instead.
+    std::ifstream is(path, std::ios::binary);
+    try {
+      serve::SnapshotReader reader(is);
+      ADD_FAILURE() << "a stream over the cap was accepted";
+    } catch (const serve::SnapshotError& e) {
+      EXPECT_TRUE(names_the_size_limit(e)) << e.what();
+    }
+  }
+  std::filesystem::remove(path);
 }
 
 // --- detector snapshot round trip -------------------------------------------
@@ -364,6 +406,61 @@ TEST_F(DetectorSnapshot, BusyWorkerBatchesWhatQueuedMeanwhile) {
                             detector_->scan_verilog((*corpus_)[i].verilog));
   }
   EXPECT_EQ(service.stats().max_batch_size, 16u);
+}
+
+TEST_F(DetectorSnapshot, IdleServiceReusesTheLastIdleWorker) {
+  // A submit wakes the worker that went idle most recently, so sequential
+  // scans with idle gaps between them stay on one warm thread; a shared
+  // condition variable's notify_one rotated them through all four.
+  std::mutex mutex;
+  std::vector<std::thread::id> scanned_on;
+  util::FaultInjector faults;
+  faults.crash_point("serve.batch", [&] {
+    std::lock_guard<std::mutex> lock(mutex);
+    scanned_on.push_back(std::this_thread::get_id());
+  });
+  util::FaultInjector::Arm armed(faults);
+  serve::ServiceConfig config;
+  config.workers = 4;
+  serve::DetectionService service(core::NoodleDetector(detector_->fitted_model()), config);
+
+  // drain() returns once the worker that answered is parked again, so
+  // the next scan finds it on top of the idle stack however late the
+  // scheduler ran it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // workers park
+  service.scan((*corpus_)[0].verilog);  // warm-up
+  service.drain();
+  for (std::size_t i = 1; i <= 20; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    ASSERT_FALSE(service.scan((*corpus_)[i].verilog).timing.from_cache);
+    service.drain();
+  }
+  std::lock_guard<std::mutex> lock(mutex);
+  ASSERT_EQ(scanned_on.size(), 21u);
+  for (std::size_t i = 2; i <= 20; ++i) {
+    EXPECT_EQ(scanned_on[i], scanned_on[1]) << "scan " << i << " moved to another worker";
+  }
+}
+
+TEST_F(DetectorSnapshot, BusyWorkerDoesNotBlockTheOthers) {
+  // With every worker held inside a batch, each of the three still took
+  // one: a worker parked on the idle stack is woken, never skipped.
+  serve::ServiceConfig config;
+  config.workers = 3;
+  WorkerLatch latch;
+  serve::DetectionService service(core::NoodleDetector(detector_->fitted_model()), config);
+
+  std::vector<std::future<core::DetectionReport>> futures;
+  for (std::size_t i = 0; i < 48; ++i) {
+    futures.push_back(service.submit((*corpus_)[i].verilog));
+  }
+  EXPECT_TRUE(latch.wait_held(3));
+  latch.release();
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    expect_identical_report(futures[i].get(),
+                            detector_->scan_verilog((*corpus_)[i].verilog));
+  }
+  EXPECT_GE(service.stats().batches, 3u);
 }
 
 TEST_F(DetectorSnapshot, ServiceCacheHitsDoNotChangeResults) {

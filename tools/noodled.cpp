@@ -47,7 +47,8 @@
 //                     minutes)
 //   --batch N         max requests coalesced per detector batch (default 16)
 //   --cache N         LRU verdict-cache capacity (default 4096, 0 disables)
-//   --workers N       service worker threads (default 1)
+//   --workers N       service worker threads (default half the CPUs,
+//                     at least 1)
 //   --lint            run the lint:: static-analysis pass on every scan and
 //                     attach findings to verdict lines as a lint= column
 //   --trace           start with the per-verdict trace= column on
@@ -139,6 +140,7 @@
 #include "serve/snapshot_store.h"
 #include "util/atomic_file.h"
 #include "util/csv.h"
+#include "util/parallel_for.h"
 #include "util/string_util.h"
 
 using namespace noodle;
@@ -161,7 +163,10 @@ struct Options {
   std::size_t store_interval = 2;
   std::size_t batch = 16;
   std::size_t cache = 4096;
-  std::size_t workers = 1;
+  /// Half the CPUs: the event loop needs a core of its own, and each
+  /// further worker adds its own featurize workspace and malloc arena to
+  /// the resident set for little throughput.
+  std::size_t workers = std::max<std::size_t>(1, util::resolve_thread_count(0, 0) / 2);
   std::uint64_t seed = 42;
   std::size_t demo = 0;
   int listen = -1;  ///< --listen PORT; -1 = stdin mode, 0 = kernel-assigned
@@ -799,18 +804,29 @@ int main(int argc, char** argv) {
   }
 
   auto registry = std::make_shared<serve::ModelRegistry>();
+  // The --model archive being loaded, if any: --refit refits only the
+  // --snapshot default, so a rejected --model archive needs its own hint.
+  const std::filesystem::path* model_archive = nullptr;
   try {
     for (const auto& [name, path] : options.models) {
+      model_archive = &path;
       registry->reload_from(name, path);
       std::cerr << "noodled: loaded model " << name << " from " << path.string()
                 << "\n";
     }
+    model_archive = nullptr;
     if (!options.snapshot.empty() || options.models.empty()) {
       publish_default(*registry, options);
     }
   } catch (const serve::SnapshotError& e) {
-    std::cerr << "noodled: snapshot rejected: " << e.what()
-              << " (use --refit to retrain)\n";
+    if (model_archive != nullptr) {
+      std::cerr << "noodled: snapshot " << model_archive->string()
+                << " rejected: " << e.what() << " (refit it with: noodled --snapshot "
+                << model_archive->string() << " --refit)\n";
+    } else {
+      std::cerr << "noodled: snapshot rejected: " << e.what()
+                << " (use --refit to retrain)\n";
+    }
     return 1;
   } catch (const serve::RegistryError& e) {
     std::cerr << "noodled: " << e.what() << "\n";
@@ -820,7 +836,8 @@ int main(int argc, char** argv) {
                                         ? std::string(serve::kDefaultModelName)
                                         : options.models.front().first;
   print_models(std::cerr, *registry);
-  std::cerr << "noodled: serving (default model " << default_model << ")\n";
+  std::cerr << "noodled: serving (default model " << default_model << ", "
+            << options.workers << (options.workers == 1 ? " worker" : " workers") << ")\n";
 
   serve::ServiceConfig service_config;
   service_config.max_batch = options.batch;
