@@ -48,16 +48,20 @@ DetectionReport report_from(const fusion::Prediction& prediction,
 
 }  // namespace
 
-std::vector<lint::OwnedFinding> lint_last_parse(feat::FeaturizeWorkspace& workspace) {
-  std::vector<lint::OwnedFinding> owned;
+lint::OwnedFindings lint_last_parse(feat::FeaturizeWorkspace& workspace) {
   const verilog::fast::Module* module = workspace.last_module();
-  if (module == nullptr) return owned;
+  if (module == nullptr) return {};
   const util::SymbolTable& symbols = workspace.last_graph().symbols();
-  for (const lint::Finding& finding :
-       lint::thread_workspace().run(*module, workspace.last_graph(), symbols)) {
-    owned.push_back(lint::to_owned(finding, symbols));
-  }
-  return owned;
+  return lint::to_owned(
+      lint::thread_workspace().run(*module, workspace.last_graph(), symbols), symbols);
+}
+
+void DetectionReport::attach_lint(lint::OwnedFindings findings) {
+  lint_ran = true;
+  // Each finding cites a source construct: 2^32 of them would take
+  // gigabytes of RTL (a request line carries at most 1 MiB).
+  lint_count = static_cast<std::uint32_t>(findings.total());
+  lint_findings = std::move(findings.first);
 }
 
 DetectionReport FittedModel::scan_features(const data::FeatureSample& sample) const {
@@ -75,11 +79,10 @@ DetectionReport FittedModel::scan_verilog(const std::string& verilog_source,
   // no CircuitSample copy, no per-node heap traffic.
   feat::FeaturizeWorkspace& workspace = feat::thread_workspace();
   const data::FeatureSample sample = data::featurize_source(verilog_source, workspace);
-  std::vector<lint::OwnedFinding> findings;
+  lint::OwnedFindings findings;
   if (lint) findings = lint_last_parse(workspace);
   DetectionReport report = scan_features(sample);
-  report.lint_ran = lint;
-  report.lint_findings = std::move(findings);
+  if (lint) report.attach_lint(std::move(findings));
   return report;
 }
 
@@ -121,7 +124,7 @@ std::vector<DetectionReport> FittedModel::scan_verilog_many(
   // pass rides the same workers, right after each featurize while the
   // worker's arena still holds that parse.
   std::vector<data::FeatureSample> samples(sources.size());
-  std::vector<std::vector<lint::OwnedFinding>> findings(lint ? sources.size() : 0);
+  std::vector<lint::OwnedFindings> findings(lint ? sources.size() : 0);
   util::parallel_for(sources.size(), threads, [&](std::size_t i) {
     feat::FeaturizeWorkspace& workspace = feat::thread_workspace();
     samples[i] = data::featurize_source(sources[i], workspace);
@@ -130,8 +133,7 @@ std::vector<DetectionReport> FittedModel::scan_verilog_many(
   std::vector<DetectionReport> reports = scan_many(samples, threads);
   if (lint) {
     for (std::size_t i = 0; i < reports.size(); ++i) {
-      reports[i].lint_ran = true;
-      reports[i].lint_findings = std::move(findings[i]);
+      reports[i].attach_lint(std::move(findings[i]));
     }
   }
   return reports;

@@ -30,11 +30,12 @@ class FeaturizeWorkspace;
 
 namespace noodle::core {
 
-/// Lints the module `workspace` featurized last and materializes owned
-/// findings (empty if the workspace has not featurized yet). Must be called
-/// before the workspace's next featurize() invalidates that parse. Shared
-/// by FittedModel::scan_verilog* and serve::DetectionService.
-std::vector<lint::OwnedFinding> lint_last_parse(feat::FeaturizeWorkspace& workspace);
+/// Lints the module `workspace` featurized last: the first
+/// lint::kMaxOwnedFindings findings owned, every finding counted (empty if
+/// the workspace has not featurized yet). Must be called before the
+/// workspace's next featurize() invalidates that parse. Shared by
+/// FittedModel::scan_verilog* and serve::DetectionService.
+lint::OwnedFindings lint_last_parse(feat::FeaturizeWorkspace& workspace);
 
 struct DetectorConfig : FitConfig {
   /// Fraction of the fitted corpus used for proper training; the rest
@@ -84,9 +85,14 @@ struct DetectionReport {
   /// is strictly additive: every verdict field above is bit-identical with
   /// lint on or off (asserted by tests/test_lint.cpp).
   bool lint_ran = false;
-  /// Findings from the lint pass (empty when lint_ran is false or the
-  /// design is clean). Owned copies — safe to move across threads.
+  /// How many findings the lint pass reported (0 when lint_ran is false).
+  std::uint32_t lint_count = 0;
+  /// The first lint::kMaxOwnedFindings of them, in the pass's order. Owned
+  /// copies — safe to move across threads.
   std::vector<lint::OwnedFinding> lint_findings;
+
+  /// Attaches one lint pass: its count and its owned findings.
+  void attach_lint(lint::OwnedFindings findings);
   /// Per-stage wall-time breakdown (serve::DetectionService requests only;
   /// all-zero for direct scans). Purely additive — no verdict field above
   /// depends on it.

@@ -854,6 +854,25 @@ OwnedFinding to_owned(const Finding& finding, const util::SymbolTable& symbols) 
   return owned;
 }
 
+std::uint64_t OwnedFindings::total() const noexcept {
+  std::uint64_t sum = 0;
+  for (const std::uint64_t count : per_rule) sum += count;
+  return sum;
+}
+
+OwnedFindings to_owned(std::span<const Finding> findings,
+                       const util::SymbolTable& symbols) {
+  OwnedFindings owned;
+  owned.first.reserve(std::min(findings.size(), kMaxOwnedFindings));
+  for (const Finding& finding : findings) {
+    ++owned.per_rule[static_cast<std::size_t>(finding.rule)];
+    if (owned.first.size() < kMaxOwnedFindings) {
+      owned.first.push_back(to_owned(finding, symbols));
+    }
+  }
+  return owned;
+}
+
 std::string format_finding(const OwnedFinding& finding) {
   const RuleInfo& info = rule_info(finding.rule);
   std::string line = info.code;

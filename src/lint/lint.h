@@ -21,6 +21,7 @@
 // producing parse's pool) valid until the next run(); to_owned()
 // materializes a self-contained copy for reports and CLI output.
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -87,6 +88,24 @@ struct OwnedFinding {
 };
 
 OwnedFinding to_owned(const Finding& finding, const util::SymbolTable& symbols);
+
+/// Most findings of one pass kept as OwnedFinding. The verdict line lists
+/// 8; a legal 1 MiB line of 60 000 unused wires would otherwise pin 60 000
+/// owned findings (about 12 MiB) in every cached verdict.
+inline constexpr std::size_t kMaxOwnedFindings = 64;
+
+/// One pass in owned form: its first kMaxOwnedFindings findings in run()
+/// order, and every finding counted per rule (indexed by RuleId), so the
+/// counts stay exact past the cap.
+struct OwnedFindings {
+  std::vector<OwnedFinding> first;
+  std::array<std::uint64_t, kRuleCount> per_rule{};
+
+  std::uint64_t total() const noexcept;
+};
+
+OwnedFindings to_owned(std::span<const Finding> findings,
+                       const util::SymbolTable& symbols);
 
 /// One-line rendering: "W105 inferred-latch mod.sig:12:3 <message>".
 std::string format_finding(const OwnedFinding& finding);

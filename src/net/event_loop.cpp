@@ -1,6 +1,7 @@
 #include "net/event_loop.h"
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <sys/epoll.h>
@@ -62,24 +63,65 @@ void EventLoop::remove(int fd) {
 
 EventLoop::TimerId EventLoop::add_timer(std::chrono::milliseconds delay,
                                         std::function<void()> callback) {
-  // Round UP to whole ticks: a timer must never fire before its delay.
+  const auto now = std::chrono::steady_clock::now();
+  // An empty wheel stops advancing: restart its clock here rather than
+  // replay the idle gap tick by tick.
+  if (timers_.empty()) wheel_epoch_ = now;
+  // Count ticks from the last processed one, which a sleeping wheel may
+  // have left behind `now`, and round UP: a timer must never fire before
+  // its delay.
+  const auto due = std::chrono::duration_cast<std::chrono::nanoseconds>(
+      now - wheel_epoch_ + delay);
   const std::uint64_t ticks = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>((delay.count() + kTick.count() - 1) / kTick.count()));
+      1, static_cast<std::uint64_t>((due + kTick - std::chrono::nanoseconds(1)) / kTick));
   const TimerId id = next_timer_id_++;
   Timer timer;
   timer.callback = std::move(callback);
   timer.slot = (current_slot_ + ticks) % kWheelSlots;
-  timer.rounds = ticks / kWheelSlots;
-  wheel_[timer.slot].push_back(id);
+  // The slot first comes round after ticks % kWheelSlots ticks, or after a
+  // full revolution when that is 0.
+  timer.rounds = (ticks - 1) / kWheelSlots;
+  park(id, timer.slot);
   timers_.emplace(id, std::move(timer));
   return id;
+}
+
+void EventLoop::park(TimerId id, std::size_t slot) {
+  wheel_[slot].push_back(id);
+  occupied_[slot / 64] |= std::uint64_t{1} << (slot % 64);
 }
 
 void EventLoop::cancel_timer(TimerId id) {
   const auto it = timers_.find(id);
   if (it == timers_.end()) return;
-  // Lazy removal: the slot entry stays and is skipped when its tick comes.
-  it->second.cancelled = true;
+  // A slot being fired has already been swapped out of the wheel; its
+  // remaining ids are skipped once they are gone from timers_.
+  std::vector<TimerId>& slot = wheel_[it->second.slot];
+  const auto pos = std::find(slot.begin(), slot.end(), id);
+  if (pos != slot.end()) slot.erase(pos);
+  if (slot.empty()) {
+    occupied_[it->second.slot / 64] &= ~(std::uint64_t{1} << (it->second.slot % 64));
+  }
+  timers_.erase(it);
+}
+
+std::size_t EventLoop::ticks_to_next_timer() const noexcept {
+  const std::size_t start = (current_slot_ + 1) % kWheelSlots;
+  const std::size_t first_word = start / 64;
+  const std::uint64_t from_start = ~std::uint64_t{0} << (start % 64);
+  // The start word's bits from `start` up, the other words in ring order,
+  // then the start word's bits below `start`.
+  for (std::size_t i = 0; i <= kMaskWords; ++i) {
+    const std::size_t word = (first_word + i) % kMaskWords;
+    std::uint64_t bits = occupied_[word];
+    if (i == 0) bits &= from_start;
+    if (i == kMaskWords) bits &= ~from_start;
+    if (bits != 0) {
+      const std::size_t slot = word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      return (slot + kWheelSlots - start) % kWheelSlots + 1;
+    }
+  }
+  return kWheelSlots;
 }
 
 void EventLoop::watch_signal(int signo, std::function<void(int)> callback) {
@@ -131,7 +173,10 @@ void EventLoop::drain_posted() {
 
 int EventLoop::poll_timeout_ms() const {
   if (timers_.empty()) return -1;  // block until I/O, post, or signal
-  const auto next_tick = wheel_epoch_ + kTick;
+  // Sleep until the next slot holding a timer, not the next tick: a loop
+  // whose only timer is a 30 s watchdog wakes once per revolution.
+  const auto next_tick =
+      wheel_epoch_ + kTick * static_cast<std::int64_t>(ticks_to_next_timer());
   const auto now = std::chrono::steady_clock::now();
   if (next_tick <= now) return 0;
   const auto left =
@@ -148,21 +193,20 @@ void EventLoop::advance_wheel() {
   while (now - wheel_epoch_ >= kTick) {
     wheel_epoch_ += kTick;
     current_slot_ = (current_slot_ + 1) % kWheelSlots;
+    const std::uint64_t bit = std::uint64_t{1} << (current_slot_ % 64);
+    if ((occupied_[current_slot_ / 64] & bit) == 0) continue;
     // Fire this slot. Entries are collected first: a callback may arm new
     // timers (even into this same slot — they belong to the NEXT
     // revolution and must not fire now).
     std::vector<TimerId> due;
     due.swap(wheel_[current_slot_]);
+    occupied_[current_slot_ / 64] &= ~bit;
     for (const TimerId id : due) {
       const auto it = timers_.find(id);
-      if (it == timers_.end()) continue;
-      if (it->second.cancelled) {
-        timers_.erase(it);
-        continue;
-      }
+      if (it == timers_.end()) continue;  // cancelled by an earlier callback
       if (it->second.rounds > 0) {
         --it->second.rounds;
-        wheel_[current_slot_].push_back(id);  // park for another revolution
+        park(id, current_slot_);  // another revolution
         continue;
       }
       auto callback = std::move(it->second.callback);

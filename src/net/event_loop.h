@@ -12,7 +12,9 @@
 //   * timers — a hashed timer wheel (fixed tick, slot ring, rounds counter)
 //     drives watchdogs and deadlines: arming is O(1), a tick touches only
 //     its slot, and thousands of per-connection timers cost nothing while
-//     idle (cf. ouinet's watch_dog, rebuilt reactor-native);
+//     idle (cf. ouinet's watch_dog, rebuilt reactor-native). An occupancy
+//     bit per slot lets the loop sleep until the next slot that holds a
+//     timer instead of waking every tick;
 //   * signals — net::SignalPipe's read end is just another fd; hooked
 //     signals surface as watch_signal() callbacks ON THE LOOP THREAD, so
 //     SIGTERM-driven drain logic runs as ordinary code, not in a handler.
@@ -21,6 +23,7 @@
 // cancel_timer/watch_signal must be called on the loop thread (or before
 // run() starts). post() and stop() are safe from any thread.
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -62,8 +65,11 @@ class EventLoop {
   /// One-shot timer after `delay` (rounded UP to the wheel tick, so a
   /// timer never fires early). Returns an id for cancel_timer().
   TimerId add_timer(std::chrono::milliseconds delay, std::function<void()> callback);
-  /// Cancels; a no-op for already-fired or unknown ids.
+  /// Cancels and frees the timer, and with it whatever its callback
+  /// captured; a no-op for already-fired or unknown ids.
   void cancel_timer(TimerId id);
+  /// Timers armed and not yet fired or cancelled.
+  std::size_t timer_count() const noexcept { return timers_.size(); }
 
   /// The wheel granularity — the worst-case lateness a timer adds on an
   /// idle loop (busy loops add handler time like any reactor).
@@ -98,12 +104,16 @@ class EventLoop {
     std::function<void()> callback;
     std::size_t slot = 0;
     std::uint64_t rounds = 0;  ///< full wheel revolutions still to wait
-    bool cancelled = false;
   };
 
   void advance_wheel();
   void drain_posted();
   int poll_timeout_ms() const;
+  /// Puts `id` into `slot` and marks the slot occupied.
+  void park(TimerId id, std::size_t slot);
+  /// Ticks from current_slot_ to the next occupied slot, in
+  /// [1, kWheelSlots]; current_slot_ itself counts as a full revolution.
+  std::size_t ticks_to_next_timer() const noexcept;
 
   Fd epoll_;
   Fd wakeup_;  ///< eventfd: post() doorbell
@@ -113,14 +123,17 @@ class EventLoop {
   bool signal_fd_added_ = false;
 
   // Timer wheel: 512 slots x 5ms tick = 2.56s horizon per revolution;
-  // longer delays park with a rounds counter. All loop-thread-only.
+  // longer delays park with a rounds counter. A slot holds exactly the ids
+  // of its live timers, and its bit in occupied_ is set iff it holds any.
+  // All loop-thread-only.
   static constexpr std::size_t kWheelSlots = 512;
+  static constexpr std::size_t kMaskWords = kWheelSlots / 64;
   std::vector<std::vector<TimerId>> wheel_{kWheelSlots};
+  std::array<std::uint64_t, kMaskWords> occupied_{};
   std::unordered_map<TimerId, Timer> timers_;
   TimerId next_timer_id_ = 1;
   std::size_t current_slot_ = 0;
   std::chrono::steady_clock::time_point wheel_epoch_;  ///< time of last tick
-  std::uint64_t ticks_done_ = 0;
 
   std::mutex posted_mu_;
   std::deque<std::function<void()>> posted_;

@@ -1,7 +1,9 @@
 #include "net/protocol.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
+#include <optional>
 
 #include "data/dataset.h"
 #include "lint/lint.h"
@@ -10,26 +12,75 @@
 
 namespace noodle::net::protocol {
 
+namespace {
+
+void append_uint(std::string& out, std::uint64_t value) {
+  char digits[20];
+  const auto [end, ec] = std::to_chars(digits, digits + sizeof digits, value);
+  out.append(digits, end);
+}
+
+/// The lint= column: total count, then the first findings as CODE@line so
+/// a grep of the stream surfaces the rule and position without another
+/// lint run. No spaces — the column must stay one awk field.
+void append_lint_column(std::string& line, const core::DetectionReport& report) {
+  line += "lint=";
+  append_uint(line, report.lint_count);
+  constexpr std::size_t kMaxListed = 8;
+  const std::size_t listed = std::min(report.lint_findings.size(), kMaxListed);
+  for (std::size_t i = 0; i < listed; ++i) {
+    const lint::OwnedFinding& finding = report.lint_findings[i];
+    line += i == 0 ? ':' : ',';
+    line += lint::rule_info(finding.rule).code;
+    line += '@';
+    append_uint(line, static_cast<std::uint64_t>(finding.line));
+  }
+  if (report.lint_count > listed) line += ",+more";
+}
+
+/// The trace= column: the request's trace id plus per-stage wall time in
+/// microseconds, comma-joined with no spaces so the column stays one awk
+/// field. Cache hits report the lookup instead of the pipeline stages they
+/// never ran.
+void append_trace_column(std::string& line, const core::DetectionReport& report) {
+  const core::RequestTiming& timing = report.timing;
+  line += "trace=";
+  append_uint(line, timing.trace_id);
+  if (timing.from_cache) {
+    line += ":cache=hit,lookup=";
+    append_uint(line, timing.cache_lookup_us);
+  } else {
+    line += ":queue=";
+    append_uint(line, timing.queue_wait_us);
+    line += ",feat=";
+    append_uint(line, timing.featurize_us);
+    line += ",infer=";
+    append_uint(line, timing.infer_us);
+    line += ",lint=";
+    append_uint(line, timing.lint_us);
+  }
+  line += ",total=";
+  append_uint(line, timing.total_us);
+}
+
+}  // namespace
+
 RequestLine parse_request_line(
-    const std::string& line,
-    const std::function<bool(const std::string&)>& is_model) {
+    std::string_view line, const std::function<bool(const std::string&)>& is_model) {
   RequestLine request;
-  std::string rest = line;
+  std::string_view rest = line;
 
   // Model prefix: honoured only when the prefix both parses as a spec AND
   // names a registered model — so ':' inside paths or inline RTL (ternary
-  // operators!) never mis-splits. Same rule the stdin loop always used.
+  // operators, vector ranges) never mis-splits. Same rule the stdin loop
+  // always used. Most prefixes are not specs; the probe throws nothing.
   const std::size_t colon = rest.find(':');
-  if (colon != std::string::npos && colon > 0) {
-    try {
-      const serve::ModelSpec spec =
-          serve::parse_model_spec(std::string_view(rest).substr(0, colon));
-      if (is_model(spec.name)) {
-        request.spec = rest.substr(0, colon);
-        rest = rest.substr(colon + 1);
-      }
-    } catch (const serve::RegistryError&) {
-      // Not a model prefix; the whole line is the body.
+  if (colon != std::string_view::npos && colon > 0) {
+    const std::string_view prefix = rest.substr(0, colon);
+    const std::optional<serve::ModelSpec> spec = serve::try_parse_model_spec(prefix);
+    if (spec && is_model(spec->name)) {
+      request.spec = std::string(prefix);
+      rest.remove_prefix(colon + 1);
     }
   }
 
@@ -38,30 +89,30 @@ RequestLine parse_request_line(
   // terminates at the real body.
   while (!rest.empty() && rest.front() == '~') {
     const std::size_t space = rest.find(' ');
-    const std::string flag =
-        rest.substr(0, space == std::string::npos ? rest.size() : space);
-    rest = space == std::string::npos ? std::string() : rest.substr(space + 1);
+    const std::string_view flag = rest.substr(0, space);
+    rest.remove_prefix(space == std::string_view::npos ? rest.size() : space + 1);
     constexpr std::string_view kDeadline = "~deadline=";
     if (flag == "~inline") {
       request.inline_rtl = true;
-    } else if (flag.size() > kDeadline.size() &&
-               std::string_view(flag).substr(0, kDeadline.size()) == kDeadline) {
-      const std::string value = flag.substr(kDeadline.size());
-      if (value.empty() ||
-          !std::all_of(value.begin(), value.end(),
+    } else if (flag.size() > kDeadline.size() && flag.starts_with(kDeadline)) {
+      const std::string_view value = flag.substr(kDeadline.size());
+      if (!std::all_of(value.begin(), value.end(),
                        [](unsigned char c) { return c >= '0' && c <= '9'; }) ||
           value.size() > 9) {  // < 1e9 ms ≈ 11 days; rejects overflow cheaply
-        request.error = "bad deadline '" + value + "'";
+        request.error = "bad deadline '" + std::string(value) + "'";
         return request;
       }
-      request.deadline = std::chrono::milliseconds(std::stoll(value));
+      std::int64_t ms = 0;
+      std::from_chars(value.data(), value.data() + value.size(), ms);
+      request.deadline = std::chrono::milliseconds(ms);
     } else {
-      request.error = "unknown flag '" + flag + "'";
+      request.error = "unknown flag '" + std::string(flag) + "'";
       return request;
     }
   }
 
-  request.body = std::move(rest);
+  // The body's one copy out of the caller's line.
+  request.body = std::string(rest);
   if (request.body.empty()) request.error = "empty request body";
   return request;
 }
@@ -72,55 +123,41 @@ std::string region_text(const cp::PredictionRegion& region) {
   return region.contains[1] ? "{TI}" : "{TF}";
 }
 
-std::string lint_column(const core::DetectionReport& report) {
-  std::string column = "lint=" + std::to_string(report.lint_findings.size());
-  constexpr std::size_t kMaxListed = 8;
-  const std::size_t listed = std::min(report.lint_findings.size(), kMaxListed);
-  for (std::size_t i = 0; i < listed; ++i) {
-    const lint::OwnedFinding& finding = report.lint_findings[i];
-    column += i == 0 ? ':' : ',';
-    column += lint::rule_info(finding.rule).code;
-    column += '@';
-    column += std::to_string(finding.line);
-  }
-  if (report.lint_findings.size() > kMaxListed) column += ",+more";
-  return column;
-}
-
-std::string trace_column(const core::DetectionReport& report) {
-  const core::RequestTiming& timing = report.timing;
-  std::string column = "trace=" + std::to_string(timing.trace_id) + ":";
-  if (timing.from_cache) {
-    column += "cache=hit,lookup=" + std::to_string(timing.cache_lookup_us) +
-              ",total=" + std::to_string(timing.total_us);
-  } else {
-    column += "queue=" + std::to_string(timing.queue_wait_us) +
-              ",feat=" + std::to_string(timing.featurize_us) +
-              ",infer=" + std::to_string(timing.infer_us) +
-              ",lint=" + std::to_string(timing.lint_us) +
-              ",total=" + std::to_string(timing.total_us);
-  }
-  return column;
-}
-
 std::string verdict_line(const core::DetectionReport& report, const std::string& echo,
                          bool trace_on) {
-  std::string line = report.predicted_label == data::kTrojanInfected
-                         ? "TROJAN-INFECTED"
-                         : "trojan-free";
-  line += "\tp=" + util::format_fixed(report.probability, 3);
-  line += "\tregion=" + region_text(report.region);
-  line += "\tmodel=" + report.served_by;
-  if (report.lint_ran) line += "\t" + lint_column(report);
-  if (trace_on) line += "\t" + trace_column(report);
-  line += "\t" + echo;
+  // One reserved buffer, appended in place: the loop formats one of these
+  // per verdict.
+  std::string line;
+  line.reserve(96 + report.served_by.size() + echo.size() +
+               (report.lint_ran ? 96 : 0) + (trace_on ? 128 : 0));
+  line += report.predicted_label == data::kTrojanInfected ? "TROJAN-INFECTED"
+                                                          : "trojan-free";
+  line += "\tp=";
+  util::append_fixed(line, report.probability, 3);
+  line += "\tregion=";
+  line += region_text(report.region);
+  line += "\tmodel=";
+  line += report.served_by;
+  if (report.lint_ran) {
+    line += '\t';
+    append_lint_column(line, report);
+  }
+  if (trace_on) {
+    line += '\t';
+    append_trace_column(line, report);
+  }
+  line += '\t';
+  line += echo;
   return line;
 }
 
 std::string status_line(const char* status, const std::string& model,
                         const std::string& echo) {
   std::string line = status;
-  line += "\t-\t-\tmodel=" + model + "\t" + echo;
+  line += "\t-\t-\tmodel=";
+  line += model;
+  line += '\t';
+  line += echo;
   return line;
 }
 

@@ -32,6 +32,7 @@
 #include <chrono>
 #include <functional>
 #include <string>
+#include <string_view>
 
 #include "core/fitted_model.h"
 
@@ -52,25 +53,18 @@ struct RequestLine {
 
 /// Parses one request line. `is_model(name)` decides whether a "prefix:"
 /// names a registered model (the stdin loop and the server both answer it
-/// with a registry probe), so paths containing ':' keep working.
-RequestLine parse_request_line(const std::string& line,
+/// with a registry probe), so paths containing ':' keep working. The body
+/// is the one part copied out of `line`.
+RequestLine parse_request_line(std::string_view line,
                                const std::function<bool(const std::string&)>& is_model);
 
 /// "{TF}", "{TI}", "{TF,TI}" (uncertain), or "{}" (empty region).
 std::string region_text(const cp::PredictionRegion& region);
 
-/// The verdict line's lint= column: total count, then the first findings as
-/// CODE@line so a grep of the stream surfaces the rule and position without
-/// another lint run. No spaces — the column must stay one awk field.
-std::string lint_column(const core::DetectionReport& report);
-
-/// The verdict line's trace= column: the request's trace id plus per-stage
-/// wall time in microseconds, comma-joined with no spaces so the column
-/// stays one awk field. Cache hits report the lookup instead of the
-/// pipeline stages they never ran.
-std::string trace_column(const core::DetectionReport& report);
-
-/// The full verdict line for a scanned report (no trailing newline).
+/// The full verdict line for a scanned report (no trailing newline). The
+/// lint= column lists the total count and the first findings as CODE@line;
+/// the trace= column lists the request's trace id and per-stage times in
+/// microseconds. Each column stays one awk field.
 std::string verdict_line(const core::DetectionReport& report, const std::string& echo,
                          bool trace_on);
 

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <sys/epoll.h>
 #include <utility>
 #include <vector>
@@ -100,7 +101,9 @@ void ScanServer::on_accept() {
     const int raw_fd = conn->fd.get();
     connections_.emplace(id, std::move(conn));
     loop_.add(raw_fd, EPOLLIN, [this, id](std::uint32_t events) { on_io(id, events); });
-    arm_idle_timer(*connections_[id]);
+    Connection& added = *connections_[id];
+    added.last_read = std::chrono::steady_clock::now();
+    if (config_.idle_timeout.count() > 0) arm_idle_timer(added, config_.idle_timeout);
     metrics_.accepted.inc();
     metrics_.connections.add(1);
   }
@@ -149,7 +152,7 @@ bool ScanServer::handle_read(std::uint64_t id) {
   }
   metrics_.bytes_rx.inc(static_cast<std::uint64_t>(n));
   conn->rbuf.append(chunk, static_cast<std::size_t>(n));
-  arm_idle_timer(*conn);
+  conn->last_read = std::chrono::steady_clock::now();
 
   if (conn->rbuf.size() > kMaxLineBytes &&
       conn->rbuf.find('\n') == std::string::npos) {
@@ -160,37 +163,38 @@ bool ScanServer::handle_read(std::uint64_t id) {
     return false;
   }
 
+  // Lines are handled as views into rbuf, which nothing touches until the
+  // consumed prefix is erased below; a line whose handling closed the
+  // connection ends the loop before the next view is read.
   std::size_t start = 0;
-  std::vector<std::string> lines;
-  for (std::size_t nl = conn->rbuf.find('\n', start); nl != std::string::npos;
-       start = nl + 1, nl = conn->rbuf.find('\n', start)) {
-    std::string line = conn->rbuf.substr(start, nl - start);
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    lines.push_back(std::move(line));
+  for (std::size_t nl = conn->rbuf.find('\n'); nl != std::string::npos;
+       nl = conn->rbuf.find('\n', start)) {
+    std::string_view line(conn->rbuf.data() + start, nl - start);
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    start = nl + 1;
+    handle_line(id, line);
+    conn = find(id);
+    if (conn == nullptr) return false;  // the line's handling closed us
   }
   conn->rbuf.erase(0, start);
-  for (std::string& line : lines) {
-    handle_line(id, std::move(line));
-    if (find(id) == nullptr) return false;  // the line's handling closed us
-  }
   return true;
 }
 
-void ScanServer::handle_line(std::uint64_t id, std::string line) {
+void ScanServer::handle_line(std::uint64_t id, std::string_view line) {
   Connection* conn = find(id);
   if (conn == nullptr || line.empty()) return;
 
   if (line.front() == '!') {  // control line
     auto slot = std::make_shared<Slot>();
     slot->ready = true;
-    if (line.rfind("!drain", 0) == 0) {
+    if (line.starts_with("!drain")) {
       slot->text = "noodled: draining\n";
       conn->pending.push_back(std::move(slot));
       begin_drain();  // flushes (and may close) every connection, incl. this
       return;
     }
-    std::string response =
-        control_ ? control_(line) : std::string("noodled: no control handler\n");
+    std::string response = control_ ? control_(std::string(line))
+                                    : std::string("noodled: no control handler\n");
     if (!response.empty() && response.back() != '\n') response += '\n';
     slot->text = std::move(response);
     conn->pending.push_back(std::move(slot));
@@ -199,7 +203,7 @@ void ScanServer::handle_line(std::uint64_t id, std::string line) {
   }
 
   metrics_.requests.inc();
-  const protocol::RequestLine request = protocol::parse_request_line(
+  protocol::RequestLine request = protocol::parse_request_line(
       line, [this](const std::string& name) {
         return static_cast<bool>(
             service_.registry().try_resolve(serve::ModelSpec{name, 0}));
@@ -212,7 +216,7 @@ void ScanServer::handle_line(std::uint64_t id, std::string line) {
   slot->echo = request.inline_rtl ? protocol::kInlineEcho : request.body;
 
   if (!request.error.empty()) {
-    slot->echo = line;  // nothing parsed; echo what we got
+    slot->echo = std::string(line);  // nothing parsed; echo what we got
     slot->ready = true;
     slot->text = protocol::status_line("bad-request", model, slot->echo) + "\n";
     metrics_.protocol_errors.inc();
@@ -227,7 +231,7 @@ void ScanServer::handle_line(std::uint64_t id, std::string line) {
     std::string source;
     bool read_ok = true;
     if (request.inline_rtl) {
-      source = request.body;
+      source = std::move(request.body);
     } else {
       std::ifstream file(request.body);
       if (!file) {
@@ -428,21 +432,28 @@ void ScanServer::update_interest(Connection& conn) {
   loop_.modify(conn.fd.get(), events);
 }
 
-void ScanServer::arm_idle_timer(Connection& conn) {
-  if (config_.idle_timeout.count() <= 0) return;
-  if (conn.idle_timer != 0) loop_.cancel_timer(conn.idle_timer);
+void ScanServer::arm_idle_timer(Connection& conn, std::chrono::milliseconds delay) {
   const std::uint64_t id = conn.id;
-  conn.idle_timer = loop_.add_timer(config_.idle_timeout, [this, id] {
-    Connection* idle = find(id);
-    if (idle == nullptr) return;
-    idle->idle_timer = 0;
-    if (idle->pending.empty() && idle->buffered_bytes() == 0) {
-      close_connection(id, /*server_initiated=*/true);
-    } else {
-      // Busy waiting on verdicts is not idle; give it another period.
-      arm_idle_timer(*idle);
-    }
-  });
+  conn.idle_timer = loop_.add_timer(delay, [this, id] { idle_timer_fired(id); });
+}
+
+void ScanServer::idle_timer_fired(std::uint64_t id) {
+  Connection* conn = find(id);
+  if (conn == nullptr) return;
+  conn->idle_timer = 0;
+  // Reads only stamp last_read; the one timer re-arms for what is left of
+  // the period since the last read. Re-arming on every read would add and
+  // cancel a timer per read.
+  const auto idle_for = std::chrono::steady_clock::now() - conn->last_read;
+  if (idle_for < config_.idle_timeout) {
+    arm_idle_timer(*conn, std::chrono::ceil<std::chrono::milliseconds>(
+                              config_.idle_timeout - idle_for));
+  } else if (conn->pending.empty() && conn->buffered_bytes() == 0) {
+    close_connection(id, /*server_initiated=*/true);
+  } else {
+    // Busy waiting on verdicts is not idle; give it another period.
+    arm_idle_timer(*conn, config_.idle_timeout);
+  }
 }
 
 void ScanServer::arm_stall_timer(Connection& conn) {

@@ -41,12 +41,14 @@
 // loop has stopped; the destructor drains the service so no completion
 // callback can outlive it.
 
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "net/event_loop.h"
 #include "net/socket.h"
@@ -166,7 +168,9 @@ class ScanServer {
     std::string wbuf;
     std::size_t wbuf_off = 0;
     std::deque<std::shared_ptr<Slot>> pending;
+    /// Armed once at accept; reads stamp last_read instead of re-arming.
     EventLoop::TimerId idle_timer = 0;
+    std::chrono::steady_clock::time_point last_read;
     EventLoop::TimerId stall_timer = 0;
     bool paused = false;       ///< EPOLLIN dropped for backpressure
     bool want_write = false;   ///< EPOLLOUT armed
@@ -179,7 +183,7 @@ class ScanServer {
   /// Reads once (level-triggered epoll re-arms); false if the connection
   /// died under this call.
   bool handle_read(std::uint64_t id);
-  void handle_line(std::uint64_t id, std::string line);
+  void handle_line(std::uint64_t id, std::string_view line);
   void submit_scan(Connection& conn, const std::string& spec, std::string source,
                    std::shared_ptr<Slot> slot, std::chrono::milliseconds deadline);
   /// Marshalled completion (loop thread): resolves the future into a
@@ -193,7 +197,10 @@ class ScanServer {
   /// false if the connection died under the write.
   bool write_some(Connection& conn);
   void update_interest(Connection& conn);
-  void arm_idle_timer(Connection& conn);
+  void arm_idle_timer(Connection& conn, std::chrono::milliseconds delay);
+  /// Closes the connection if it read nothing for idle_timeout and owes
+  /// nothing; otherwise re-arms for the rest of the period.
+  void idle_timer_fired(std::uint64_t id);
   void arm_stall_timer(Connection& conn);
   void close_connection(std::uint64_t id, bool server_initiated);
   void check_drained();

@@ -57,7 +57,35 @@ inline void micro_2x4(std::size_t k, const double* a, std::size_t lda,
   c1[3 * c_col_stride] = acc13;
 }
 
-/// Partial tile at the m/n edges: plain dot products, same accumulation
+/// One-row tile: C[i0, j0..j0+3]. A lone row (every Dense layer at batch
+/// 1, the last row of an odd batch) still gets four independent chains.
+inline void micro_1x4(std::size_t k, const double* a, std::size_t lda,
+                      const double* b, std::size_t ldb, const double* bias,
+                      double* c, std::size_t c_row_stride, std::size_t c_col_stride,
+                      std::size_t i0, std::size_t j0) {
+  const double* a0 = a + i0 * lda;
+  const double* b0 = b + j0 * ldb;
+  const double* b1 = b0 + ldb;
+  const double* b2 = b1 + ldb;
+  const double* b3 = b2 + ldb;
+
+  double acc0 = bias ? bias[j0 + 0] : 0.0, acc1 = bias ? bias[j0 + 1] : 0.0;
+  double acc2 = bias ? bias[j0 + 2] : 0.0, acc3 = bias ? bias[j0 + 3] : 0.0;
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    const double a0v = a0[kk];
+    acc0 += a0v * b0[kk];
+    acc1 += a0v * b1[kk];
+    acc2 += a0v * b2[kk];
+    acc3 += a0v * b3[kk];
+  }
+  double* c0 = c + i0 * c_row_stride + j0 * c_col_stride;
+  c0[0] = acc0;
+  c0[c_col_stride] = acc1;
+  c0[2 * c_col_stride] = acc2;
+  c0[3 * c_col_stride] = acc3;
+}
+
+/// Partial tile at the n edge: plain dot products, same accumulation
 /// order as the blocked path (bias first, then k ascending).
 inline void edge_tile(std::size_t k, const double* a, std::size_t lda,
                       const double* b, std::size_t ldb, const double* bias,
@@ -85,6 +113,8 @@ void gemm_bt(std::size_t m, std::size_t n, std::size_t k, const double* a,
       const std::size_t jb = std::min(kNr, n - j0);
       if (ib == kMr && jb == kNr) {
         micro_2x4(k, a, lda, b, ldb, bias, c, c_row_stride, c_col_stride, i0, j0);
+      } else if (jb == kNr) {
+        micro_1x4(k, a, lda, b, ldb, bias, c, c_row_stride, c_col_stride, i0, j0);
       } else {
         edge_tile(k, a, lda, b, ldb, bias, c, c_row_stride, c_col_stride, i0, ib, j0,
                   jb);
@@ -100,8 +130,10 @@ void im2col_1d(const double* row, std::size_t in_channels, std::size_t in_len,
   for (std::size_t t = 0; t < out_len; ++t) {
     double* dst = col + t * col_width;
     for (std::size_t ic = 0; ic < in_channels; ++ic) {
+      // Element by element: a receptive field is 3-5 doubles, too short
+      // for the memmove std::copy becomes.
       const double* src = row + ic * in_len + t;
-      std::copy(src, src + kernel, dst + ic * kernel);
+      for (std::size_t kk = 0; kk < kernel; ++kk) dst[ic * kernel + kk] = src[kk];
     }
   }
 }

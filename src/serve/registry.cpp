@@ -21,24 +21,31 @@ std::string ModelSpec::to_string() const {
   return version == 0 ? name : name + "@" + std::to_string(version);
 }
 
-ModelSpec parse_model_spec(std::string_view spec) {
-  ModelSpec parsed;
+std::optional<ModelSpec> try_parse_model_spec(std::string_view spec) noexcept {
   const std::size_t at = spec.find('@');
   const std::string_view name = spec.substr(0, at);
-  if (!valid_name(name)) {
-    throw RegistryError("registry: bad model name in spec '" + std::string(spec) + "'");
+  if (!valid_name(name)) return std::nullopt;
+  ModelSpec parsed;
+  if (at != std::string_view::npos) {
+    const std::string_view version = spec.substr(at + 1);
+    const auto [end, ec] =
+        std::from_chars(version.data(), version.data() + version.size(), parsed.version);
+    if (ec != std::errc{} || end != version.data() + version.size() ||
+        parsed.version == 0) {
+      return std::nullopt;
+    }
   }
   parsed.name = std::string(name);
-  if (at == std::string_view::npos) return parsed;
-  const std::string_view version = spec.substr(at + 1);
-  const auto [end, ec] =
-      std::from_chars(version.data(), version.data() + version.size(), parsed.version);
-  if (ec != std::errc{} || end != version.data() + version.size() ||
-      parsed.version == 0) {
-    throw RegistryError("registry: bad model version in spec '" + std::string(spec) +
-                        "' (want name@N with N >= 1)");
-  }
   return parsed;
+}
+
+ModelSpec parse_model_spec(std::string_view spec) {
+  std::optional<ModelSpec> parsed = try_parse_model_spec(spec);
+  if (!parsed) {
+    throw RegistryError("registry: bad model spec '" + std::string(spec) +
+                        "' (want name or name@N with N >= 1)");
+  }
+  return std::move(*parsed);
 }
 
 // ---------------------------------------------------------------------------

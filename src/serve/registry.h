@@ -28,6 +28,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <stdexcept>
 #include <string>
@@ -55,7 +56,13 @@ struct ModelSpec {
 };
 
 /// Parses "name" or "name@version". Names are [A-Za-z0-9._-]+; versions are
-/// positive decimal integers. Throws RegistryError on anything else.
+/// positive decimal integers. Returns nullopt on anything else, without
+/// building an error message: the request parser probes every "prefix:"
+/// of a line, and most prefixes (an inline `[7:0]`, a `C:` path) are not
+/// specs.
+std::optional<ModelSpec> try_parse_model_spec(std::string_view spec) noexcept;
+
+/// try_parse_model_spec that throws RegistryError on a malformed spec.
 ModelSpec parse_model_spec(std::string_view spec);
 
 /// One immutable published generation: `name@version` plus the shared

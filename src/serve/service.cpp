@@ -487,6 +487,11 @@ std::size_t DetectionService::cache_size() const {
   return cache_.size();
 }
 
+std::size_t DetectionService::cache_bytes() const {
+  std::lock_guard<std::mutex> lock(cache_mutex_);
+  return cache_bytes_;
+}
+
 void DetectionService::worker_loop(WakeSlot& slot) {
   std::size_t answered = 0;  // requests of the last batch
   for (;;) {
@@ -585,7 +590,7 @@ void DetectionService::process_group(const std::string& group_label,
   // future; the surviving samples still share one scan_many pass.
   std::vector<data::FeatureSample> samples;
   std::vector<std::size_t> sample_owner;  // index into group
-  std::vector<std::vector<lint::OwnedFinding>> findings;  // parallel to samples
+  std::vector<lint::OwnedFindings> findings;  // parallel to samples
   std::vector<std::pair<std::size_t, std::exception_ptr>> rejected;
   samples.reserve(group.size());
   // The service's worker threads are long-lived, so each worker's
@@ -636,10 +641,15 @@ void DetectionService::process_group(const std::string& group_label,
   const std::uint64_t elapsed_micros = scan_nanos / 1000;
   for (core::DetectionReport& report : reports) report.served_by = handle->label();
   std::uint64_t lint_runs = 0;
+  std::array<std::uint64_t, lint::kRuleCount> lint_by_rule{};
   for (std::size_t s = 0; s < reports.size(); ++s) {
-    reports[s].lint_ran = group[sample_owner[s]].lint;
-    reports[s].lint_findings = std::move(findings[s]);
-    lint_runs += reports[s].lint_ran ? 1 : 0;
+    if (!group[sample_owner[s]].lint) continue;
+    ++lint_runs;
+    // Counted before the cap drops owned findings: the counters stay exact.
+    for (std::size_t r = 0; r < lint::kRuleCount; ++r) {
+      lint_by_rule[r] += findings[s].per_rule[r];
+    }
+    reports[s].attach_lint(std::move(findings[s]));
   }
 
   // Stamp per-request timing before counters/cache publication so cached
@@ -665,10 +675,8 @@ void DetectionService::process_group(const std::string& group_label,
   counters.scan_micros->inc(elapsed_micros);
   counters.max_batch_size->raise(static_cast<std::int64_t>(group.size()));
   counters.lint_runs->inc(lint_runs);
-  for (const core::DetectionReport& report : reports) {
-    for (const lint::OwnedFinding& finding : report.lint_findings) {
-      counters.lint_by_rule[static_cast<std::size_t>(finding.rule)]->inc();
-    }
+  for (std::size_t r = 0; r < lint::kRuleCount; ++r) {
+    if (lint_by_rule[r] != 0) counters.lint_by_rule[r]->inc(lint_by_rule[r]);
   }
   if (disk_cache_ != nullptr) {
     // Queue for the disk tier's background writer: the handoff is a queue
@@ -728,14 +736,20 @@ void DetectionService::cache_store(const CacheKey& key, std::string source,
   const auto it = cache_.find(key);
   if (it != cache_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second.position);
+    cache_bytes_ = cache_bytes_ - it->second.source.size() + source.size();
     it->second.source = std::move(source);
     it->second.report = report;
-    return;
+  } else {
+    lru_.push_front(key);
+    cache_bytes_ += source.size();
+    cache_.emplace(key, CacheEntry{std::move(source), report, lru_.begin()});
   }
-  lru_.push_front(key);
-  cache_.emplace(key, CacheEntry{std::move(source), report, lru_.begin()});
-  while (cache_.size() > config_.cache_capacity) {
-    cache_.erase(lru_.back());
+  // Bound the sources by bytes as well as entries: 4 096 entries of legal
+  // 1 MiB lines would hold gigabytes.
+  while (cache_.size() > config_.cache_capacity || cache_bytes_ > kCacheByteBudget) {
+    const auto oldest = cache_.find(lru_.back());
+    cache_bytes_ -= oldest->second.source.size();
+    cache_.erase(oldest);
     lru_.pop_back();
   }
 }

@@ -80,7 +80,8 @@ struct SubmitOptions {
 struct ServiceConfig {
   /// Most queued requests one worker takes into one detector batch.
   std::size_t max_batch = 16;
-  /// LRU verdict-cache capacity in entries; 0 disables caching.
+  /// LRU verdict-cache capacity in entries (within kCacheByteBudget of
+  /// sources); 0 disables caching.
   std::size_t cache_capacity = 4096;
   /// Worker threads pulling from the request queue. Each batch is scanned
   /// on the worker that took it (scan_many with one thread).
@@ -96,6 +97,11 @@ struct ServiceConfig {
   /// restarts and can be shared by a fleet of workers.
   DiskCacheConfig disk_cache;
 };
+
+/// Most source bytes the verdict cache holds; least recently used entries
+/// go first past it, as past ServiceConfig::cache_capacity. A request line
+/// may carry up to 1 MiB of RTL.
+inline constexpr std::size_t kCacheByteBudget = std::size_t{64} << 20;
 
 /// Per-model counters are bounded: model names come from client-supplied
 /// request specs, so once kMaxTrackedModels distinct names have counters,
@@ -245,6 +251,8 @@ class DetectionService {
 
   const std::string& default_model() const noexcept { return default_model_; }
   std::size_t cache_size() const;
+  /// Source bytes the verdict cache holds; at most kCacheByteBudget.
+  std::size_t cache_bytes() const;
 
   /// Runtime toggle for the static-analysis pass (the `!lint` control line
   /// in noodled). Each request samples the flag at submit time, so the
@@ -422,6 +430,7 @@ class DetectionService {
   mutable std::mutex cache_mutex_;
   std::list<CacheKey> lru_;
   std::unordered_map<CacheKey, CacheEntry, CacheKeyHash> cache_;
+  std::size_t cache_bytes_ = 0;  ///< sum of the entries' source sizes
 
   /// Disk tier under the LRU; null when not configured. Declared before
   /// workers_ because their threads store into it; its own writer thread

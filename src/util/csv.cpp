@@ -1,7 +1,8 @@
 #include "util/csv.h"
 
+#include <algorithm>
+#include <charconv>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 namespace noodle::util {
@@ -99,12 +100,28 @@ CsvTable read_csv(const std::filesystem::path& path) {
   return table;
 }
 
+void append_fixed(std::string& out, double value, int digits) {
+  // Probabilities and table cells fit the stack buffer.
+  char small[64];
+  const auto [end, ec] =
+      std::to_chars(small, small + sizeof small, value, std::chars_format::fixed, digits);
+  if (ec == std::errc{}) {
+    out.append(small, end);
+    return;
+  }
+  // Fixed notation of a large double runs to 309 integer digits: a sign,
+  // those, the point and the decimals (6 for a negative count) bound it.
+  const std::size_t at = out.size();
+  out.resize(at + 311 + static_cast<std::size_t>(std::max(digits, 6)));
+  const auto wide = std::to_chars(out.data() + at, out.data() + out.size(), value,
+                                  std::chars_format::fixed, digits);
+  out.resize(static_cast<std::size_t>(wide.ptr - out.data()));
+}
+
 std::string format_fixed(double value, int digits) {
-  std::ostringstream os;
-  os.setf(std::ios::fixed);
-  os.precision(digits);
-  os << value;
-  return os.str();
+  std::string text;
+  append_fixed(text, value, digits);
+  return text;
 }
 
 }  // namespace noodle::util

@@ -28,7 +28,11 @@ CsvTable read_csv(const std::filesystem::path& path);
 std::string csv_escape(const std::string& cell);
 
 /// Formats a double with fixed precision, trimming to a stable width for
-/// table output (e.g. "0.1589").
+/// table output (e.g. "0.1589"). The text is what an iostream in fixed
+/// mode at precision `digits` prints, for every double.
 std::string format_fixed(double value, int digits);
+
+/// format_fixed, appended to `out` without a temporary string.
+void append_fixed(std::string& out, double value, int digits);
 
 }  // namespace noodle::util

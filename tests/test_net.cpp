@@ -73,6 +73,55 @@ TEST(EventLoopTest, TimerNeverFiresEarlyAndParksAcrossWheelRevolutions) {
   EXPECT_LT(fired_at - t0, 10s);
 }
 
+TEST(EventLoopTest, CancelledTimersReleaseTheirCallbackAtOnce) {
+  net::EventLoop loop;
+  auto held = std::make_shared<int>(0);
+  const net::EventLoop::TimerId id = loop.add_timer(1s, [held] { ++*held; });
+  EXPECT_EQ(held.use_count(), 2);
+  EXPECT_EQ(loop.timer_count(), 1u);
+  loop.cancel_timer(id);
+  EXPECT_EQ(held.use_count(), 1);
+  EXPECT_EQ(loop.timer_count(), 0u);
+  loop.cancel_timer(id);  // already gone: a no-op
+}
+
+TEST(EventLoopTest, TimerArmedOnAnIdleLoopNeverFiresEarly) {
+  // The loop blocks with no timer at all, then a post arms one: the wheel
+  // must count its delay from the arming, not from its last tick.
+  net::EventLoop loop;
+  std::thread runner([&] { loop.run(); });
+  std::this_thread::sleep_for(300ms);
+  std::promise<std::chrono::steady_clock::duration> waited;
+  loop.post([&] {
+    const auto armed = std::chrono::steady_clock::now();
+    loop.add_timer(100ms, [&, armed] {
+      waited.set_value(std::chrono::steady_clock::now() - armed);
+      loop.stop();
+    });
+  });
+  runner.join();
+  EXPECT_GE(waited.get_future().get(), 100ms);
+}
+
+TEST(EventLoopTest, TimerArmedWhileTheWheelSleepsNeverFiresEarly) {
+  // A far timer lets the wheel sleep past many ticks; one armed meanwhile
+  // must still wait out its whole delay.
+  net::EventLoop loop;
+  loop.add_timer(10s, [] {});
+  std::thread runner([&] { loop.run(); });
+  std::this_thread::sleep_for(300ms);
+  std::promise<std::chrono::steady_clock::duration> waited;
+  loop.post([&] {
+    const auto armed = std::chrono::steady_clock::now();
+    loop.add_timer(100ms, [&, armed] {
+      waited.set_value(std::chrono::steady_clock::now() - armed);
+      loop.stop();
+    });
+  });
+  runner.join();
+  EXPECT_GE(waited.get_future().get(), 100ms);
+}
+
 TEST(EventLoopTest, PostedTasksRunOnTheLoopThread) {
   net::EventLoop loop;
   std::thread::id loop_tid;
@@ -166,6 +215,46 @@ TEST(SocketTest, AcceptedSocketsHaveNagleOff) {
   socklen_t len = sizeof nodelay;
   ASSERT_EQ(::getsockopt(accepted.get(), IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0);
   EXPECT_EQ(nodelay, 1);
+}
+
+// --- request grammar -----------------------------------------------------------
+
+TEST(ProtocolTest, RequestLinesSplitOnlyOnRegisteredModelPrefixes) {
+  const auto is_model = [](const std::string& name) { return name == "alpha"; };
+  const std::string rtl =
+      "module m(input [7:0] a, output y); assign y = a[0] ? a[1] : a[2]; endmodule";
+  struct Case {
+    std::string line;
+    std::string spec;
+    std::string body;
+    bool inline_rtl;
+    long deadline_ms;
+    bool error;
+  };
+  const std::vector<Case> cases = {
+      {"alpha:x.v", "alpha", "x.v", false, 0, false},
+      {"alpha@1:x.v", "alpha@1", "x.v", false, 0, false},
+      {"alpha@0:x.v", "", "alpha@0:x.v", false, 0, false},
+      {"beta:x.v", "", "beta:x.v", false, 0, false},
+      {"C:\\x.v", "", "C:\\x.v", false, 0, false},
+      {"~inline " + rtl, "", rtl, true, 0, false},
+      {"alpha:~inline " + rtl, "alpha", rtl, true, 0, false},
+      {"alpha:~deadline=5 ~inline " + rtl, "alpha", rtl, true, 5, false},
+      {"~deadline=5 x.v", "", "x.v", false, 5, false},
+      {"~deadline=abc x.v", "", "", false, 0, true},
+      {"~frobnicate x.v", "", "", false, 0, true},
+      {"~inline", "", "", true, 0, true},
+      {"alpha:", "alpha", "", false, 0, true},
+  };
+  for (const Case& c : cases) {
+    const net::protocol::RequestLine got = net::protocol::parse_request_line(c.line, is_model);
+    EXPECT_EQ(!got.error.empty(), c.error) << c.line << ": " << got.error;
+    if (c.error) continue;
+    EXPECT_EQ(got.spec, c.spec) << c.line;
+    EXPECT_EQ(got.body, c.body) << c.line;
+    EXPECT_EQ(got.inline_rtl, c.inline_rtl) << c.line;
+    EXPECT_EQ(got.deadline.count(), c.deadline_ms) << c.line;
+  }
 }
 
 // --- socket test plumbing ----------------------------------------------------
@@ -644,6 +733,32 @@ TEST_F(ScanServerFixture, IdleConnectionsAreEvictedByTheWatchdog) {
   EXPECT_GE(harness.server.stats().dropped, 1u);
   ASSERT_TRUE(active.send_line((*files_)[0]));
   EXPECT_TRUE(active.read_line().has_value());
+}
+
+TEST_F(ScanServerFixture, IdleWatchdogArmsOneTimerPerConnection) {
+  serve::DetectionService service(registry_with_a(), "m");
+  ServerHarness harness(service, net::ServerConfig{});
+
+  // 1 000 requests in 100 pipelined bursts: at least 100 separate reads.
+  LineClient client;
+  ASSERT_TRUE(client.connect(harness.port()));
+  for (std::size_t burst = 0; burst < 100; ++burst) {
+    std::string lines;
+    for (std::size_t i = 0; i < 10; ++i) lines += (*files_)[i % files_->size()] + "\n";
+    ASSERT_TRUE(send_all(client.fd.get(), lines));
+    for (std::size_t i = 0; i < 10; ++i) ASSERT_TRUE(client.read_line().has_value());
+  }
+  const auto timers = [&] {
+    std::promise<std::size_t> count;
+    harness.loop.post([&] { count.set_value(harness.loop.timer_count()); });
+    return count.get_future().get();
+  };
+  EXPECT_EQ(timers(), 1u);
+  LineClient second;
+  ASSERT_TRUE(second.connect(harness.port()));
+  ASSERT_TRUE(second.send_line((*files_)[0]));
+  ASSERT_TRUE(second.read_line().has_value());
+  EXPECT_EQ(timers(), 2u);
 }
 
 TEST_F(ScanServerFixture, DrainAnswersEveryInflightRequestThenClosesAndStopsLoop) {

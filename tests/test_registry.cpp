@@ -11,6 +11,7 @@
 #include <fstream>
 #include <future>
 #include <set>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -137,6 +138,18 @@ TEST(ModelSpecParsing, RejectsMalformedSpecs) {
   EXPECT_THROW(serve::parse_model_spec("name@1x"), serve::RegistryError);
   EXPECT_THROW(serve::parse_model_spec("bad name"), serve::RegistryError);
   EXPECT_THROW(serve::parse_model_spec("colon:name"), serve::RegistryError);
+}
+
+TEST(ModelSpecParsing, TryFormAgreesWithoutThrowing) {
+  for (const char* bad : {"", "@3", "name@", "name@0", "name@two", "name@1x", "bad name",
+                          "colon:name", "~inline module m(input [7"}) {
+    EXPECT_FALSE(serve::try_parse_model_spec(bad).has_value()) << bad;
+  }
+  const std::optional<serve::ModelSpec> pinned = serve::try_parse_model_spec("canary@3");
+  ASSERT_TRUE(pinned.has_value());
+  EXPECT_EQ(pinned->name, "canary");
+  EXPECT_EQ(pinned->version, 3u);
+  EXPECT_EQ(serve::try_parse_model_spec("prod-v2.east_1")->version, 0u);
 }
 
 // --- registry semantics ------------------------------------------------------

@@ -18,6 +18,8 @@
 #include <vector>
 
 #include "core/detector.h"
+#include "lint/lint.h"
+#include "net/protocol.h"
 #include "serve/service.h"
 #include "serve/snapshot.h"
 #include "util/binary_io.h"
@@ -739,6 +741,71 @@ TEST_F(DetectorSnapshot, ReportsCarryTimingAndDistinctTraceIds) {
       EXPECT_EQ(sample.histogram.count, 3u);
     }
   }
+}
+
+TEST_F(DetectorSnapshot, VerdictCacheBoundsItsSourceBytes) {
+  serve::DetectionService service(core::NoodleDetector(detector_->fitted_model()),
+                                  serve::ServiceConfig{});
+  // A small module and a ~1 MiB comment: cheap to scan, costly to cache.
+  // 80 of them hold more than the byte budget, far fewer than 4 096 entries.
+  const auto padded = [&](std::size_t i) {
+    std::string source = (*corpus_)[0].verilog + "\n// " + std::to_string(i) + " ";
+    source.append(std::size_t{1} << 20, 'x');
+    return source;
+  };
+  constexpr std::size_t kSources = 80;
+  for (std::size_t i = 0; i < kSources; ++i) {
+    service.scan(padded(i));
+    ASSERT_LE(service.cache_bytes(), serve::kCacheByteBudget) << i;
+  }
+  EXPECT_LT(service.cache_size(), kSources);
+  // Only what the budget requires was evicted.
+  EXPECT_GT(service.cache_bytes() + padded(0).size(), serve::kCacheByteBudget);
+
+  // Least recently used first: the newest source still hits, the oldest
+  // was evicted and scans again.
+  const serve::ServiceStats before = service.stats();
+  service.scan(padded(kSources - 1));
+  EXPECT_EQ(service.stats().cache_hits, before.cache_hits + 1);
+  service.scan(padded(0));
+  EXPECT_EQ(service.stats().scans, before.scans + 1);
+  EXPECT_LE(service.cache_bytes(), serve::kCacheByteBudget);
+}
+
+TEST_F(DetectorSnapshot, LintKeepsTheFirstFindingsAndCountsThemAll) {
+  // One legal 889 KB line of 60 000 unused wires: each is a W103 finding.
+  constexpr std::size_t kWires = 60000;
+  std::string source = "module wide(input a, output y);";
+  for (std::size_t i = 0; i < kWires; ++i) source += " wire w" + std::to_string(i) + ";";
+  source += " assign y = a; endmodule";
+
+  serve::ServiceConfig config;
+  config.lint = true;
+  serve::DetectionService service(core::NoodleDetector(detector_->fitted_model()),
+                                  config);
+  const core::DetectionReport report = service.scan(source);
+  ASSERT_TRUE(report.lint_ran);
+  EXPECT_EQ(report.lint_count, kWires);
+  EXPECT_EQ(report.lint_findings.size(), lint::kMaxOwnedFindings);
+  for (const lint::OwnedFinding& finding : report.lint_findings) {
+    EXPECT_EQ(finding.rule, lint::RuleId::UnusedSignal);
+  }
+  EXPECT_EQ(report.lint_findings.front().subject, "w0");
+
+  const std::string line = net::protocol::verdict_line(report, "<inline>", false);
+  EXPECT_NE(line.find("\tlint=60000:W103@1,"), std::string::npos) << line.substr(0, 120);
+  EXPECT_NE(line.find(",+more\t<inline>"), std::string::npos);
+
+  // The counters count every finding, not the kept ones.
+  const serve::ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.lint_findings, kWires);
+  EXPECT_EQ(stats.lint_by_rule[static_cast<std::size_t>(lint::RuleId::UnusedSignal)],
+            kWires);
+  // A cache hit answers the same count from the capped entry.
+  const core::DetectionReport hit = service.scan(source);
+  EXPECT_TRUE(hit.timing.from_cache);
+  EXPECT_EQ(hit.lint_count, kWires);
+  EXPECT_LE(hit.lint_findings.size(), lint::kMaxOwnedFindings);
 }
 
 }  // namespace
