@@ -38,9 +38,12 @@ int main() {
   std::vector<std::string> bin_labels;
   std::vector<double> bin_counts;
   for (std::size_t b = 0; b < curve.sharpness_histogram.size(); ++b) {
-    bin_labels.push_back("[" + util::format_fixed(0.1 * static_cast<double>(b), 1) +
-                         "," + util::format_fixed(0.1 * static_cast<double>(b + 1), 1) +
-                         ")");
+    std::string label = "[";
+    label += util::format_fixed(0.1 * static_cast<double>(b), 1);
+    label += ',';
+    label += util::format_fixed(0.1 * static_cast<double>(b + 1), 1);
+    label += ')';
+    bin_labels.push_back(std::move(label));
     bin_counts.push_back(static_cast<double>(curve.sharpness_histogram[b]));
   }
   std::cout << util::ascii_bar_chart(bin_labels, bin_counts, 40);

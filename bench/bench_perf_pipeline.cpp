@@ -1,25 +1,16 @@
-// P1-P3 — throughput micro-benchmarks (google-benchmark) for the pipeline
-// stages: Verilog parsing, graph/tabular feature extraction, CNN inference,
-// and Mondrian ICP p-value computation — plus P4, the batch subsystem's
-// scaling benchmarks: the experiment sweep runner and detector batch scans
-// at 1/2/4 worker threads, and P5, the serving subsystem: snapshot
-// save/load round trips and DetectionService request throughput with and
-// without the verdict cache. Wall-clock (real time) is the metric that
-// matters there; every thread count must produce bit-identical results, and
+// Throughput micro-benchmarks (google-benchmark) for what perfbench's
+// traced replay and end-to-end runs do not measure: lint, CNN forward and
+// training, Mondrian ICP p-values, the parallel experiment sweep,
+// snapshot save/load, registry resolve and hot reload, and the metrics
+// hot path. Lex, parse, graph, sketch, tabular, featurize, scan_many,
+// service and TCP round-trip rows live in perfbench (perfbench/README.md).
+// The sweep must produce bit-identical results at every thread count, and
 // the benchmark aborts if it does not.
 
 #include <benchmark/benchmark.h>
-#include <sys/socket.h>
 
 #include <algorithm>
-#include <array>
 #include <filesystem>
-#include <future>
-#include <thread>
-
-#include "net/event_loop.h"
-#include "net/server.h"
-#include "net/socket.h"
 
 #include "core/batch.h"
 #include "core/detector.h"
@@ -27,16 +18,10 @@
 #include "data/corpus.h"
 #include "data/dataset.h"
 #include "feat/featurize.h"
-#include "feat/tabular.h"
-#include "graph/builder.h"
-#include "graph/features.h"
 #include "lint/lint.h"
 #include "nn/trainer.h"
 #include "obs/metrics.h"
 #include "serve/registry.h"
-#include "serve/service.h"
-#include "verilog/lexer.h"
-#include "verilog/parser.h"
 
 namespace {
 
@@ -52,158 +37,6 @@ const std::vector<data::CircuitSample>& corpus() {
   }();
   return circuits;
 }
-
-void BM_ParseVerilog(benchmark::State& state) {
-  const auto& circuits = corpus();
-  std::size_t i = 0;
-  std::size_t bytes = 0;
-  for (auto _ : state) {
-    const auto& circuit = circuits[i++ % circuits.size()];
-    benchmark::DoNotOptimize(verilog::parse_module(circuit.verilog));
-    bytes += circuit.verilog.size();
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
-}
-BENCHMARK(BM_ParseVerilog);
-
-void BM_BuildNetGraph(benchmark::State& state) {
-  std::vector<verilog::Module> modules;
-  for (const auto& circuit : corpus()) {
-    modules.push_back(verilog::parse_module(circuit.verilog));
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::build_netgraph(modules[i++ % modules.size()]));
-  }
-}
-BENCHMARK(BM_BuildNetGraph);
-
-void BM_GraphFeatures(benchmark::State& state) {
-  std::vector<graph::NetGraph> graphs;
-  for (const auto& circuit : corpus()) {
-    graphs.push_back(graph::build_netgraph(verilog::parse_module(circuit.verilog)));
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::graph_features(graphs[i++ % graphs.size()]));
-  }
-}
-BENCHMARK(BM_GraphFeatures);
-
-void BM_SpectralSketch(benchmark::State& state) {
-  // Isolates the blocked CSR subspace-iteration sketch (PR 8) from the rest
-  // of graph_features, at the production pass budget featurization uses. The
-  // expected values are pinned once up front and every timed call is checked
-  // against them, so a scratch-reuse or convergence regression aborts the
-  // benchmark instead of publishing a bogus number.
-  std::vector<graph::NetGraph> graphs;
-  std::vector<std::vector<double>> expected;
-  for (const auto& circuit : corpus()) {
-    graphs.push_back(graph::build_netgraph(verilog::parse_module(circuit.verilog)));
-    expected.push_back(graphs.back().spectral_sketch(3));
-  }
-  graph::AnalysisScratch scratch;
-  std::array<double, 3> sketch{};
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const std::size_t at = i++ % graphs.size();
-    graphs[at].spectral_sketch(sketch, graph::NetGraph::kSpectralSketchIterations,
-                               scratch);
-    benchmark::DoNotOptimize(sketch);
-    if (!std::equal(sketch.begin(), sketch.end(), expected[at].begin())) {
-      state.SkipWithError("spectral sketch deviated from the pinned values");
-      break;
-    }
-  }
-}
-BENCHMARK(BM_SpectralSketch);
-
-void BM_TabularFeatures(benchmark::State& state) {
-  std::vector<verilog::Module> modules;
-  for (const auto& circuit : corpus()) {
-    modules.push_back(verilog::parse_module(circuit.verilog));
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(feat::tabular_features(modules[i++ % modules.size()]));
-  }
-}
-BENCHMARK(BM_TabularFeatures);
-
-void BM_Lex(benchmark::State& state) {
-  // Zero-copy lexing into a reused token buffer (the front of every parse).
-  const auto& circuits = corpus();
-  std::vector<verilog::Token> tokens;
-  std::size_t i = 0;
-  std::size_t bytes = 0;
-  for (auto _ : state) {
-    const auto& circuit = circuits[i++ % circuits.size()];
-    verilog::lex_into(circuit.verilog, tokens);
-    benchmark::DoNotOptimize(tokens.data());
-    bytes += circuit.verilog.size();
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
-}
-BENCHMARK(BM_Lex);
-
-/// Reference features via the classic owning pipeline, for the in-bench
-/// identity checks below (the arena path must reproduce them bit for bit).
-const std::vector<std::pair<std::vector<double>, std::vector<double>>>&
-reference_features() {
-  static const auto reference = [] {
-    std::vector<std::pair<std::vector<double>, std::vector<double>>> out;
-    for (const auto& circuit : corpus()) {
-      const verilog::Module module = verilog::parse_module(circuit.verilog);
-      out.emplace_back(graph::graph_features(graph::build_netgraph(module)),
-                       feat::tabular_features(module));
-    }
-    return out;
-  }();
-  return reference;
-}
-
-void BM_Featurize(benchmark::State& state) {
-  // The full front end through data::featurize (thread-local workspace
-  // underneath); was BM_FullFeaturize before PR 5. Aborts on any deviation
-  // from the owning reference pipeline.
-  const auto& circuits = corpus();
-  const auto& reference = reference_features();
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const std::size_t at = i++ % circuits.size();
-    const data::FeatureSample sample = data::featurize(circuits[at]);
-    benchmark::DoNotOptimize(sample);
-    if (sample.graph != reference[at].first || sample.tabular != reference[at].second) {
-      state.SkipWithError("featurize diverged from the owning reference path");
-      break;
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_Featurize);
-
-void BM_FeaturizeWorkspace(benchmark::State& state) {
-  // Explicit workspace with reused output vectors: the zero-allocation
-  // steady state (asserted in tests/test_featurize_engine.cpp).
-  const auto& circuits = corpus();
-  const auto& reference = reference_features();
-  feat::FeaturizeWorkspace workspace;
-  std::vector<double> graph_out, tabular_out;
-  workspace.featurize(circuits[0].verilog, graph_out, tabular_out);  // warm-up
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const std::size_t at = i++ % circuits.size();
-    workspace.featurize(circuits[at].verilog, graph_out, tabular_out);
-    benchmark::DoNotOptimize(graph_out.data());
-    benchmark::DoNotOptimize(tabular_out.data());
-    if (graph_out != reference[at].first || tabular_out != reference[at].second) {
-      state.SkipWithError("workspace featurize diverged from the reference path");
-      break;
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_FeaturizeWorkspace);
 
 void BM_Lint(benchmark::State& state) {
   // Per-circuit cost of the static-analysis pass over the 48-circuit
@@ -394,60 +227,20 @@ const core::NoodleDetector& fitted_detector() {
   return detector;
 }
 
-const std::vector<data::FeatureSample>& scan_samples() {
-  static const auto samples = [] {
-    std::vector<data::FeatureSample> featurized;
-    for (const auto& circuit : corpus()) featurized.push_back(data::featurize(circuit));
-    return featurized;
-  }();
-  return samples;
+/// The sample the serving benches scan to check a loaded model.
+const data::FeatureSample& probe_sample() {
+  static const data::FeatureSample sample = data::featurize(corpus().front());
+  return sample;
 }
-
-bool identical_reports(const std::vector<core::DetectionReport>& a,
-                       const std::vector<core::DetectionReport>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].predicted_label != b[i].predicted_label ||
-        a[i].probability != b[i].probability || a[i].p_values != b[i].p_values) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Serial (1-thread) reference scans, computed once.
-const std::vector<core::DetectionReport>& scan_reference() {
-  static const auto reference = fitted_detector().scan_many(scan_samples(), 1);
-  return reference;
-}
-
-void BM_ScanMany(benchmark::State& state) {
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  const auto& detector = fitted_detector();
-  const auto& samples = scan_samples();
-  const auto& reference = scan_reference();  // built outside the timed loop
-  for (auto _ : state) {
-    const auto reports = detector.scan_many(samples, threads);
-    benchmark::DoNotOptimize(reports);
-    if (!identical_reports(reports, reference)) {
-      state.SkipWithError("scan reports diverged from the 1-thread reference");
-      break;
-    }
-  }
-  state.SetLabel("threads=" + std::to_string(threads));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(samples.size()));
-}
-BENCHMARK(BM_ScanMany)->Arg(1)->Arg(2)->Arg(4)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// P5 — serving subsystem: snapshot persistence and service throughput
+// P5 — serving subsystem: snapshot persistence
 // ---------------------------------------------------------------------------
 
 void BM_SnapshotSaveLoad(benchmark::State& state) {
   const auto& detector = fitted_detector();
   const auto path = std::filesystem::temp_directory_path() / "noodle_bench.snap";
-  const core::DetectionReport reference = detector.scan_features(scan_samples()[0]);
+  const core::DetectionReport reference = detector.scan_features(probe_sample());
   std::uintmax_t snapshot_bytes = 0;
   for (auto _ : state) {
     detector.save(path);
@@ -455,7 +248,7 @@ void BM_SnapshotSaveLoad(benchmark::State& state) {
     benchmark::DoNotOptimize(loaded);
     state.PauseTiming();
     snapshot_bytes = std::filesystem::file_size(path);
-    const core::DetectionReport check = loaded.scan_features(scan_samples()[0]);
+    const core::DetectionReport check = loaded.scan_features(probe_sample());
     if (check.probability != reference.probability ||
         check.p_values != reference.p_values) {
       state.SkipWithError("loaded detector diverged from the fitted original");
@@ -488,7 +281,7 @@ void BM_HotReload(benchmark::State& state) {
   // publish — the latency floor for a zero-downtime model upgrade.
   const auto path = std::filesystem::temp_directory_path() / "noodle_bench_reload.snap";
   fitted_detector().save(path);
-  const core::DetectionReport reference = fitted_detector().scan_features(scan_samples()[0]);
+  const core::DetectionReport reference = fitted_detector().scan_features(probe_sample());
   serve::ModelRegistry registry;
   registry.reload_from("prod", path);
   for (auto _ : state) {
@@ -499,7 +292,7 @@ void BM_HotReload(benchmark::State& state) {
     state.ResumeTiming();
   }
   const core::DetectionReport check =
-      registry.resolve("prod")->model().scan_features(scan_samples()[0]);
+      registry.resolve("prod")->model().scan_features(probe_sample());
   if (check.probability != reference.probability ||
       check.p_values != reference.p_values) {
     state.SkipWithError("reloaded generation diverged from the fitted original");
@@ -508,97 +301,6 @@ void BM_HotReload(benchmark::State& state) {
   state.SetLabel("live_generations=" + std::to_string(registry.size()));
 }
 BENCHMARK(BM_HotReload)->Unit(benchmark::kMillisecond);
-
-void BM_ServiceThroughput(benchmark::State& state) {
-  const bool cached = state.range(0) != 0;
-  const auto path = std::filesystem::temp_directory_path() / "noodle_bench_svc.snap";
-  fitted_detector().save(path);
-  serve::ServiceConfig config;
-  config.max_batch = 16;
-  config.cache_capacity = cached ? 4096 : 0;
-  config.workers = 2;
-  serve::DetectionService service(path, config);
-  std::filesystem::remove(path);
-
-  const auto& circuits = corpus();
-  const auto& reference = scan_reference();  // sequential scans of the same samples
-  for (auto _ : state) {
-    std::vector<std::future<core::DetectionReport>> futures;
-    futures.reserve(circuits.size());
-    for (const auto& circuit : circuits) futures.push_back(service.submit(circuit.verilog));
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-      const core::DetectionReport report = futures[i].get();
-      if (report.probability != reference[i].probability ||
-          report.p_values != reference[i].p_values) {
-        state.SkipWithError("service verdict diverged from direct scans");
-        break;
-      }
-    }
-  }
-  const serve::ServiceStats stats = service.stats();
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(circuits.size()));
-  state.SetLabel(std::string(cached ? "cache=on" : "cache=off") +
-                 " hit_rate=" + std::to_string(stats.cache_hit_rate()).substr(0, 4) +
-                 " avg_batch=" + std::to_string(stats.average_batch_size()).substr(0, 4));
-}
-BENCHMARK(BM_ServiceThroughput)->Arg(0)->Arg(1)->UseRealTime()->Unit(benchmark::kMillisecond);
-
-// One full TCP round trip over loopback: request line in, verdict line out,
-// through the epoll loop, admission control, the service's submit-time
-// cache probe, and the FIFO write path. After the first iteration the
-// verdict cache is hot, so the loop thread answers inline and this measures
-// transport + protocol overhead, not inference.
-
-void BM_NetRoundTrip(benchmark::State& state) {
-  const auto path = std::filesystem::temp_directory_path() / "noodle_bench_net.snap";
-  fitted_detector().save(path);
-  serve::DetectionService service(path, serve::ServiceConfig{});
-  std::filesystem::remove(path);
-
-  net::EventLoop loop;
-  net::ScanServer server(loop, service, net::ServerConfig{});
-  server.start();
-  std::thread loop_thread([&] { loop.run(); });
-
-  std::error_code ec;
-  net::Fd client = net::connect_tcp("127.0.0.1", server.port(), ec);
-  const std::string request =
-      "~inline module bench_net(input a, input b, output y);"
-      " assign y = a & b; endmodule\n";
-  std::string acc;
-  char buf[4096];
-  for (auto _ : state) {
-    if (!client) {
-      state.SkipWithError("connect failed");
-      break;
-    }
-    std::size_t off = 0;
-    while (off < request.size()) {
-      const ssize_t put = ::send(client.get(), request.data() + off,
-                                 request.size() - off, MSG_NOSIGNAL);
-      if (put < 0) {
-        state.SkipWithError("send failed");
-        break;
-      }
-      off += static_cast<std::size_t>(put);
-    }
-    while (acc.find('\n') == std::string::npos) {
-      const ssize_t got = ::recv(client.get(), buf, sizeof buf, 0);
-      if (got <= 0) {
-        state.SkipWithError("recv failed");
-        break;
-      }
-      acc.append(buf, static_cast<std::size_t>(got));
-    }
-    acc.clear();
-  }
-  client = net::Fd();
-  loop.stop();
-  loop_thread.join();
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_NetRoundTrip)->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 // --- P6: observability ------------------------------------------------------
 // The warm instrumentation path a request pays per stage: one histogram

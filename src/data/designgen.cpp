@@ -356,7 +356,8 @@ std::string gen_comparator_bank(const std::string& name, Rng& rng) {
     os << "  wire f" << i << ";\n";
     os << "  assign f" << i << " = sample " << rel << " "
        << lit(width, threshold) << ";\n";
-    flag_exprs.push_back("f" + std::to_string(i));
+    flag_exprs.push_back("f");
+    flag_exprs.back() += std::to_string(i);
   }
   os << "  assign flags = {";
   for (int i = n_cmp - 1; i >= 0; --i) {

@@ -16,9 +16,9 @@
 // through featurize() are plain vectors the caller owns, so they may cross
 // threads freely.
 //
-// Feature vectors are bit-identical to the classic allocating path
-// (parse_module + build_netgraph + graph_features + tabular_features);
-// tests assert this across the bundled corpus.
+// Feature values are pinned: tests/test_featurize_engine.cpp checks a
+// digest of every value over the bundled corpus together with
+// kFeatureVersion, and that a warm, reused workspace matches a cold one.
 
 #include <cstddef>
 #include <cstdint>

@@ -12,15 +12,15 @@ using verilog::ExprKind;
 using verilog::NetKind;
 using verilog::PortDir;
 using verilog::StmtKind;
+namespace fast = verilog::fast;
 
 namespace {
 
 double lg(double x) { return std::log1p(std::max(0.0, x)); }
 
 // ---------------------------------------------------------------------------
-// Operator classification. The spelling-level rules are the single source
-// of truth; the arena AST dispatches through PunctId tables derived from
-// them at compile time, so the two paths cannot disagree.
+// Operator classification: spelling-level rules, compiled into tables
+// indexed by the arena AST's PunctId.
 // ---------------------------------------------------------------------------
 
 constexpr bool is_eq_spelling(std::string_view op) {
@@ -50,30 +50,20 @@ constexpr auto kIsRelOp = make_punct_table<is_rel_spelling>();
 constexpr auto kIsXorOp = make_punct_table<is_xor_spelling>();
 constexpr auto kIsReductionOp = make_punct_table<is_reduction_spelling>();
 
-bool is_eq_op(const verilog::Expr& e) { return is_eq_spelling(e.name); }
-bool is_eq_op(const verilog::fast::Expr& e) { return kIsEqOp[e.op]; }
-bool is_rel_op(const verilog::Expr& e) { return is_rel_spelling(e.name); }
-bool is_rel_op(const verilog::fast::Expr& e) { return kIsRelOp[e.op]; }
-bool is_xor_op(const verilog::Expr& e) { return is_xor_spelling(e.name); }
-bool is_xor_op(const verilog::fast::Expr& e) { return kIsXorOp[e.op]; }
-bool is_reduction_op(const verilog::Expr& e) { return is_reduction_spelling(e.name); }
-bool is_reduction_op(const verilog::fast::Expr& e) { return kIsReductionOp[e.op]; }
-
 // ---------------------------------------------------------------------------
-// Generic traversal (no std::function — the arena path must not allocate).
-// Visit order matches ast.h's for_each_* helpers.
+// Traversal (no std::function: featurize must not allocate). Pre-order.
 // ---------------------------------------------------------------------------
 
-template <typename E, typename Fn>
-void walk_expr(const E& e, Fn&& fn) {
+template <typename Fn>
+void walk_expr(const fast::Expr& e, Fn&& fn) {
   fn(e);
   for (const auto& child : e.operands) {
     if (child) walk_expr(*child, fn);
   }
 }
 
-template <typename S, typename Fn>
-void walk_stmt(const S& s, Fn&& fn) {
+template <typename Fn>
+void walk_stmt(const fast::Stmt& s, Fn&& fn) {
   fn(s);
   if (s.then_branch) walk_stmt(*s.then_branch, fn);
   if (s.else_branch) walk_stmt(*s.else_branch, fn);
@@ -87,8 +77,8 @@ void walk_stmt(const S& s, Fn&& fn) {
   if (s.for_step) walk_stmt(*s.for_step, fn);
 }
 
-template <typename M, typename Fn>
-void walk_module_stmts(const M& m, Fn&& fn) {
+template <typename Fn>
+void walk_module_stmts(const fast::Module& m, Fn&& fn) {
   for (const auto& b : m.always_blocks) {
     if (b.body) walk_stmt(*b.body, fn);
   }
@@ -97,9 +87,9 @@ void walk_module_stmts(const M& m, Fn&& fn) {
   }
 }
 
-template <typename M, typename Fn>
-void walk_module_exprs(const M& m, Fn&& fn) {
-  const auto on_expr = [&fn](const auto& e) { walk_expr(e, fn); };
+template <typename Fn>
+void walk_module_exprs(const fast::Module& m, Fn&& fn) {
+  const auto on_expr = [&fn](const fast::Expr& e) { walk_expr(e, fn); };
   for (const auto& p : m.params) {
     if (p.value) on_expr(*p.value);
   }
@@ -110,7 +100,7 @@ void walk_module_exprs(const M& m, Fn&& fn) {
     if (a.lhs) on_expr(*a.lhs);
     if (a.rhs) on_expr(*a.rhs);
   }
-  walk_module_stmts(m, [&](const auto& s) {
+  walk_module_stmts(m, [&](const fast::Stmt& s) {
     if (s.cond) on_expr(*s.cond);
     if (s.lhs) on_expr(*s.lhs);
     if (s.rhs) on_expr(*s.rhs);
@@ -128,10 +118,9 @@ void walk_module_exprs(const M& m, Fn&& fn) {
 }
 
 /// Maximum nesting depth of if/case statements under s.
-template <typename S>
-int branch_depth(const S& s) {
+int branch_depth(const fast::Stmt& s) {
   int child_max = 0;
-  const auto consider = [&child_max](const auto& child) {
+  const auto consider = [&child_max](const fast::Stmt* child) {
     if (child) child_max = std::max(child_max, branch_depth(*child));
   };
   consider(s.then_branch);
@@ -150,16 +139,18 @@ struct Counters {
   double max_const_width = 0;
 };
 
-template <typename M>
-void extract(const M& m, std::span<double> f, TabularScratch& scratch) {
-  if (f.size() != kTabularFeatureDim) {
+}  // namespace
+
+void tabular_features(const fast::Module& m, std::span<double> out,
+                      TabularScratch& scratch) {
+  if (out.size() != kTabularFeatureDim) {
     throw std::invalid_argument("tabular_features: output size != kTabularFeatureDim");
   }
   Counters c;
   scratch.consts.clear();
 
   // Statement-level counts.
-  walk_module_stmts(m, [&c](const auto& s) {
+  walk_module_stmts(m, [&c](const fast::Stmt& s) {
     switch (s.kind) {
       case StmtKind::If: c.if_count += 1.0; break;
       case StmtKind::Case:
@@ -174,14 +165,14 @@ void extract(const M& m, std::span<double> f, TabularScratch& scratch) {
   });
 
   // Expression-level counts everywhere expressions occur.
-  walk_module_exprs(m, [&c, &scratch](const auto& e) {
+  walk_module_exprs(m, [&c, &scratch](const fast::Expr& e) {
     switch (e.kind) {
       case ExprKind::Number:
         scratch.consts.push_back(e.value);
         c.max_const_width = std::max(c.max_const_width, static_cast<double>(e.width));
         break;
       case ExprKind::Binary: {
-        if (is_eq_op(e)) {
+        if (kIsEqOp[e.op]) {
           c.eq_ops += 1.0;
           for (const auto& side : e.operands) {
             if (side->kind == ExprKind::Number) {
@@ -190,15 +181,15 @@ void extract(const M& m, std::span<double> f, TabularScratch& scratch) {
               break;
             }
           }
-        } else if (is_rel_op(e)) {
+        } else if (kIsRelOp[e.op]) {
           c.rel_ops += 1.0;
-        } else if (is_xor_op(e)) {
+        } else if (kIsXorOp[e.op]) {
           c.xor_ops += 1.0;
         }
         break;
       }
       case ExprKind::Unary:
-        if (is_reduction_op(e)) {
+        if (kIsReductionOp[e.op]) {
           c.reduction_ops += 1.0;
         }
         break;
@@ -256,7 +247,7 @@ void extract(const M& m, std::span<double> f, TabularScratch& scratch) {
       c.blocking + c.nonblocking + static_cast<double>(m.assigns.size());
 
   std::size_t next = 0;
-  const auto push = [&f, &next](double value) { f[next++] = value; };
+  const auto push = [&out, &next](double value) { out[next++] = value; };
   // Interface (0..5)
   push(inputs);
   push(outputs);
@@ -300,20 +291,6 @@ void extract(const M& m, std::span<double> f, TabularScratch& scratch) {
   if (next != kTabularFeatureDim) {
     throw std::logic_error("tabular_features: dimension drift");
   }
-}
-
-}  // namespace
-
-std::vector<double> tabular_features(const verilog::Module& m) {
-  std::vector<double> f(kTabularFeatureDim, 0.0);
-  TabularScratch scratch;
-  extract(m, f, scratch);
-  return f;
-}
-
-void tabular_features(const verilog::fast::Module& m, std::span<double> out,
-                      TabularScratch& scratch) {
-  extract(m, out, scratch);
 }
 
 const std::vector<std::string>& tabular_feature_names() {

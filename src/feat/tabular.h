@@ -9,17 +9,15 @@
 // against a wide constant, one more conditional assignment, and a deeper
 // nest — all visible here without simulation.
 //
-// One templated extractor serves both AST forms: the owning ast.h tree and
-// the arena fast_ast.h tree (where operator classification is a PunctId
-// table lookup instead of string compares). The arena overload writes into
-// a caller buffer and allocates nothing in steady state.
+// The extractor reads the arena AST (fast_ast.h), where operator
+// classification is a PunctId table lookup. It writes into a caller buffer
+// and allocates nothing in steady state.
 
 #include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "verilog/ast.h"
 #include "verilog/fast_ast.h"
 
 namespace noodle::feat {
@@ -31,10 +29,8 @@ struct TabularScratch {
   std::vector<std::uint64_t> consts;
 };
 
-/// Extracts the feature vector of one module.
-std::vector<double> tabular_features(const verilog::Module& m);
-
-/// Arena-AST form: writes into `out` (size kTabularFeatureDim).
+/// Extracts the feature vector of one module into `out` (size
+/// kTabularFeatureDim).
 void tabular_features(const verilog::fast::Module& m, std::span<double> out,
                       TabularScratch& scratch);
 

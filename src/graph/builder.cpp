@@ -1,7 +1,7 @@
 #include "graph/builder.h"
 
 #include <charconv>
-#include <string>
+#include <string_view>
 
 #include "verilog/symbols.h"
 
@@ -12,29 +12,16 @@ using verilog::ExprKind;
 using verilog::NetKind;
 using verilog::PortDir;
 using verilog::StmtKind;
+namespace fast = verilog::fast;
 
 namespace {
 
-// Representation adapters — the only places the two AST forms differ.
-
-util::Symbol name_symbol(util::SymbolTable& symbols, const std::string& name) {
-  return symbols.intern(name);
-}
-util::Symbol name_symbol(util::SymbolTable&, util::Symbol name) { return name; }
-
-util::Symbol op_symbol(util::SymbolTable& symbols, const verilog::Expr& e) {
-  return symbols.intern(e.name);
-}
-util::Symbol op_symbol(util::SymbolTable&, const verilog::fast::Expr& e) {
-  return verilog::punct_symbol(e.op);
-}
-
-/// One lowering for both AST forms; ModuleT is verilog::Module or
-/// verilog::fast::Module (field names deliberately coincide).
-template <typename ModuleT>
+/// Lowers one arena module into a NetGraph. Identifiers are already
+/// symbols of the graph's intern pool, and operator spellings are PunctIds
+/// with fixed symbols, so no label is re-interned.
 class Lowering {
  public:
-  Lowering(const ModuleT& m, NetGraph& graph, BuildScratch& scratch)
+  Lowering(const fast::Module& m, NetGraph& graph, BuildScratch& scratch)
       : module_(m), graph_(graph), scratch_(scratch), symbols_(graph.symbols()) {}
 
   void run() {
@@ -42,7 +29,7 @@ class Lowering {
     for (const auto& net : module_.nets) {
       if (net.init) {
         const NetGraph::NodeId value = lower_expr(*net.init);
-        graph_.add_edge(value, signal(name_symbol(symbols_, net.name)));
+        graph_.add_edge(value, signal(net.name));
       }
     }
     for (const auto& assign : module_.assigns) {
@@ -63,11 +50,11 @@ class Lowering {
         case PortDir::Inout: type = NodeType::Wire; break;
       }
       const int width = port.range ? port.range->width() : 1;
-      const util::Symbol name = name_symbol(symbols_, port.name);
+      const util::Symbol name = port.name;
       scratch_.signals.put(name, graph_.add_node(type, name, width));
     }
     for (const auto& net : module_.nets) {
-      const util::Symbol name = name_symbol(symbols_, net.name);
+      const util::Symbol name = net.name;
       if (scratch_.signals.find(name) != nullptr) continue;  // output reg: port wins
       const NodeType type = net.kind == NetKind::Wire ? NodeType::Wire : NodeType::Reg;
       const int width = net.range ? net.range->width() : (net.kind == NetKind::Integer ? 32 : 1);
@@ -93,11 +80,10 @@ class Lowering {
 
   /// The signal node assigned by an lvalue expression (the base identifier
   /// of selects/concats; concat targets fan in to every member).
-  template <typename E>
-  NetGraph::NodeId lhs_target(const E& lhs) {
+  NetGraph::NodeId lhs_target(const fast::Expr& lhs) {
     switch (lhs.kind) {
       case ExprKind::Identifier:
-        return signal(name_symbol(symbols_, lhs.name));
+        return signal(lhs.name);
       case ExprKind::Index:
       case ExprKind::Range:
         return lhs_target(*lhs.operands[0]);
@@ -115,21 +101,20 @@ class Lowering {
     }
   }
 
-  template <typename E>
-  NetGraph::NodeId lower_expr(const E& e) {
+  NetGraph::NodeId lower_expr(const fast::Expr& e) {
     switch (e.kind) {
       case ExprKind::Number:
         return graph_.add_node(NodeType::Const, const_symbol(e.value),
                                e.width > 0 ? e.width : 32);
       case ExprKind::Identifier:
-        return signal(name_symbol(symbols_, e.name));
+        return signal(e.name);
       case ExprKind::Unary: {
-        const NetGraph::NodeId op = graph_.add_node(NodeType::Op, op_symbol(symbols_, e));
+        const NetGraph::NodeId op = graph_.add_node(NodeType::Op, verilog::punct_symbol(e.op));
         graph_.add_edge(lower_expr(*e.operands[0]), op);
         return op;
       }
       case ExprKind::Binary: {
-        const NetGraph::NodeId op = graph_.add_node(NodeType::Op, op_symbol(symbols_, e));
+        const NetGraph::NodeId op = graph_.add_node(NodeType::Op, verilog::punct_symbol(e.op));
         graph_.add_edge(lower_expr(*e.operands[0]), op);
         graph_.add_edge(lower_expr(*e.operands[1]), op);
         return op;
@@ -165,8 +150,7 @@ class Lowering {
     return signal(verilog::kSymBadExpr);
   }
 
-  template <typename S>
-  void lower_stmt(const S& s, util::Symbol clock) {
+  void lower_stmt(const fast::Stmt& s, util::Symbol clock) {
     switch (s.kind) {
       case StmtKind::Block:
         for (const auto& child : s.body) lower_stmt(*child, clock);
@@ -212,13 +196,12 @@ class Lowering {
     }
   }
 
-  template <typename B>
-  void lower_always(const B& block) {
+  void lower_always(const fast::AlwaysBlock& block) {
     if (!block.body) return;
     util::Symbol clock = util::kNoSymbol;
     for (const auto& item : block.sensitivity) {
       if (item.edge != EdgeKind::None) {
-        clock = name_symbol(symbols_, item.signal);
+        clock = item.signal;
         break;
       }
     }
@@ -226,10 +209,9 @@ class Lowering {
     lower_stmt(*block.body, clock);
   }
 
-  template <typename I>
-  void lower_instance(const I& inst) {
+  void lower_instance(const fast::Instance& inst) {
     const NetGraph::NodeId node =
-        graph_.add_node(NodeType::Instance, name_symbol(symbols_, inst.module_name));
+        graph_.add_node(NodeType::Instance, inst.module_name);
     // Without the instantiated module's interface, use the Trust-Hub
     // convention: connections are bidirectionally coupled through the
     // instance so the DFG stays connected.
@@ -241,7 +223,7 @@ class Lowering {
     }
   }
 
-  const ModuleT& module_;
+  const fast::Module& module_;
   NetGraph& graph_;
   BuildScratch& scratch_;
   util::SymbolTable& symbols_;
@@ -249,19 +231,12 @@ class Lowering {
 
 }  // namespace
 
-NetGraph build_netgraph(const verilog::Module& m) {
-  NetGraph graph;
-  BuildScratch scratch;
-  Lowering<verilog::Module>(m, graph, scratch).run();
-  return graph;
-}
-
-void build_netgraph(const verilog::fast::Module& m, NetGraph& graph,
+void build_netgraph(const fast::Module& m, NetGraph& graph,
                     BuildScratch& scratch) {
   graph.clear();
   scratch.signals.clear();
   scratch.conditions.clear();
-  Lowering<verilog::fast::Module>(m, graph, scratch).run();
+  Lowering(m, graph, scratch).run();
 }
 
 }  // namespace noodle::graph

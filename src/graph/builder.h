@@ -12,13 +12,11 @@
 //  * edge-triggered blocks add an edge from the clock signal to each
 //    assigned register, capturing the sequential skeleton.
 //
-// One templated lowering serves both AST forms (ast.h and fast_ast.h), so
-// the owning and arena paths cannot drift apart. The arena entry point
-// reuses the caller's graph and scratch, performing zero heap allocations
-// in steady state.
+// It reads the arena AST (fast_ast.h), the one tree analysis reads, and
+// reuses the caller's graph and scratch, so it performs zero heap
+// allocations in steady state.
 
 #include "graph/netgraph.h"
-#include "verilog/ast.h"
 #include "verilog/fast_ast.h"
 
 namespace noodle::graph {
@@ -30,15 +28,12 @@ struct BuildScratch {
   std::vector<NetGraph::NodeId> conditions;
 };
 
-/// Builds the data-flow graph of one module. Identifiers that were never
-/// declared (outside the generated corpus this can happen in hand-written
-/// files) get implicit Wire nodes rather than failing, matching how
-/// synthesis treats undeclared nets.
-NetGraph build_netgraph(const verilog::Module& m);
-
-/// Arena-AST form: clears and rebuilds `graph` in place. `graph` must share
-/// the symbol table of the ParserWorkspace that produced `m` (a
-/// feat::FeaturizeWorkspace wires this up).
+/// Builds the data-flow graph of one module: clears and rebuilds `graph` in
+/// place. `graph` must share the symbol table of the ParserWorkspace that
+/// produced `m` (a feat::FeaturizeWorkspace wires this up). Identifiers
+/// that were never declared (outside the generated corpus this can happen
+/// in hand-written files) get implicit Wire nodes rather than failing,
+/// matching how synthesis treats undeclared nets.
 void build_netgraph(const verilog::fast::Module& m, NetGraph& graph,
                     BuildScratch& scratch);
 

@@ -1,8 +1,7 @@
 #include "net/server.h"
 
 #include <cerrno>
-#include <fstream>
-#include <sstream>
+#include <optional>
 #include <string_view>
 #include <sys/epoll.h>
 #include <utility>
@@ -10,6 +9,7 @@
 
 #include "net/protocol.h"
 #include "serve/registry.h"
+#include "util/atomic_file.h"
 
 namespace noodle::net {
 
@@ -228,28 +228,19 @@ void ScanServer::handle_line(std::uint64_t id, std::string_view line) {
     slot->text = protocol::status_line("BUSY", model, slot->echo) + "\n";
     metrics_.shed.inc();
   } else {
-    std::string source;
-    bool read_ok = true;
-    if (request.inline_rtl) {
-      source = std::move(request.body);
-    } else {
-      std::ifstream file(request.body);
-      if (!file) {
-        read_ok = false;
-      } else {
-        std::ostringstream text;
-        text << file.rdbuf();
-        source = std::move(text).str();
-      }
-    }
-    if (!read_ok) {
+    // A path reads as much as an inline line may carry, and only from a
+    // regular file: a FIFO or a device cannot stall or flood the loop.
+    std::optional<std::string> source =
+        request.inline_rtl ? std::optional<std::string>(std::move(request.body))
+                           : util::read_regular_file(request.body, kMaxLineBytes);
+    if (!source) {
       slot->ready = true;
       slot->text = protocol::status_line("read-error", model, slot->echo) + "\n";
     } else {
       const std::chrono::milliseconds deadline =
           request.deadline.count() > 0 ? request.deadline : config_.default_deadline;
       conn->pending.push_back(slot);
-      submit_scan(*conn, request.spec, std::move(source), std::move(slot),
+      submit_scan(*conn, request.spec, std::move(*source), std::move(slot),
                   deadline);
       return;  // pushed above; submit may already have completed it
     }

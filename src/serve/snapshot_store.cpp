@@ -2,6 +2,7 @@
 
 #include <exception>
 #include <fstream>
+#include <stdexcept>
 #include <system_error>
 #include <utility>
 #include <vector>
@@ -48,7 +49,12 @@ SnapshotStore::SnapshotStore(SnapshotStoreConfig config, ModelRegistry& registry
       accepted_(metrics.counter("noodle_snapshot_store_accepted_total",
                                 "Snapshot archives validated and published from the store")),
       rejected_(metrics.counter("noodle_snapshot_store_rejected_total",
-                                "Snapshot archives refused by validation")) {}
+                                "Snapshot archives refused by validation")) {
+  // A zero period would sweep back to back, re-hashing every archive.
+  if (config_.poll_interval.count() <= 0) {
+    throw std::invalid_argument("SnapshotStore: poll_interval must be positive");
+  }
+}
 
 SnapshotStore::~SnapshotStore() { stop(); }
 

@@ -46,7 +46,7 @@ class ModelRegistry;
 
 struct SnapshotStoreConfig {
   std::filesystem::path directory;
-  /// Poll period; SIGHUP-driven rescan_now() cuts ahead of it.
+  /// Poll period, positive; SIGHUP-driven rescan_now() cuts ahead of it.
   std::chrono::milliseconds poll_interval{2000};
 };
 
@@ -66,6 +66,7 @@ class SnapshotStore {
   /// noodle_snapshot_store_{accepted,rejected}_total in `metrics`. The
   /// constructor neither scans nor starts a thread — call start() (or
   /// rescan_now() for a one-shot synchronous sweep, used by tests).
+  /// Throws std::invalid_argument on a non-positive poll_interval.
   SnapshotStore(SnapshotStoreConfig config, ModelRegistry& registry,
                 obs::MetricsRegistry& metrics);
   ~SnapshotStore();

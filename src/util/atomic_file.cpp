@@ -1,6 +1,7 @@
 #include "util/atomic_file.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -148,6 +149,39 @@ bool AtomicFile::is_temp_path(const std::filesystem::path& path) {
     if (name[i] < '0' || name[i] > '9') return false;
   }
   return dots == 1;
+}
+
+std::optional<std::string> read_regular_file(const std::filesystem::path& path,
+                                             std::size_t max_bytes) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC);
+  if (fd < 0) return std::nullopt;
+  struct Closer {  // closes on every return, a throwing resize included
+    explicit Closer(int owned) : fd(owned) {}
+    Closer(const Closer&) = delete;
+    Closer& operator=(const Closer&) = delete;
+    ~Closer() { ::close(fd); }
+    int fd;
+  } closer(fd);
+  struct stat st {};
+  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode) ||
+      static_cast<std::uintmax_t>(st.st_size) > max_bytes) {
+    return std::nullopt;
+  }
+  // One byte past the size fstat saw: a file that grew since is refused.
+  std::string text(static_cast<std::size_t>(st.st_size) + 1, '\0');
+  std::size_t got = 0;
+  while (got < text.size()) {
+    const ssize_t n = ::read(fd, text.data() + got, text.size() - got);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return std::nullopt;
+    }
+    if (n == 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  if (got == text.size()) return std::nullopt;
+  text.resize(got);
+  return text;
 }
 
 }  // namespace noodle::util

@@ -29,9 +29,14 @@
 // Temp names embed the pid plus a process-wide counter
 // ("<target>.tmp.<pid>.<n>"), so concurrent writers never collide and a
 // crash-orphaned temp is recognizable (is_temp_path) and safe to sweep.
+//
+// read_regular_file is the bounded read side for a path a request names:
+// regular files only, never blocking on open, never past a byte cap.
 
 #include <cstdint>
 #include <filesystem>
+#include <optional>
+#include <string>
 #include <string_view>
 #include <system_error>
 
@@ -84,5 +89,13 @@ class AtomicFile {
   bool committed_ = false;
   std::error_code error_;
 };
+
+/// Reads a whole regular file of at most `max_bytes` bytes. Returns nullopt
+/// when the path does not open, names anything but a regular file (a FIFO,
+/// a device, a directory), holds more than `max_bytes` bytes, or grows
+/// while it is read. The open does not block, so a FIFO without a writer
+/// cannot stall the caller, and at most `max_bytes + 1` bytes are read.
+std::optional<std::string> read_regular_file(const std::filesystem::path& path,
+                                             std::size_t max_bytes);
 
 }  // namespace noodle::util

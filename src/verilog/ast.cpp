@@ -273,92 +273,4 @@ int Module::width_of(const std::string& signal) const {
   return 0;
 }
 
-SourceFile SourceFile::clone() const {
-  SourceFile copy;
-  copy.modules.reserve(modules.size());
-  for (const auto& m : modules) copy.modules.push_back(m.clone());
-  return copy;
-}
-
-const Module* SourceFile::find_module(const std::string& module_name) const {
-  for (const auto& m : modules) {
-    if (m.name == module_name) return &m;
-  }
-  return nullptr;
-}
-
-// ---------------------------------------------------------------------------
-// Traversal
-// ---------------------------------------------------------------------------
-
-void for_each_expr(const Expr& e, const std::function<void(const Expr&)>& fn) {
-  fn(e);
-  for (const auto& child : e.operands) {
-    if (child) for_each_expr(*child, fn);
-  }
-}
-
-void for_each_stmt(const Stmt& s, const std::function<void(const Stmt&)>& fn) {
-  fn(s);
-  if (s.then_branch) for_each_stmt(*s.then_branch, fn);
-  if (s.else_branch) for_each_stmt(*s.else_branch, fn);
-  for (const auto& child : s.body) {
-    if (child) for_each_stmt(*child, fn);
-  }
-  for (const auto& item : s.case_items) {
-    if (item.body) for_each_stmt(*item.body, fn);
-  }
-  if (s.for_init) for_each_stmt(*s.for_init, fn);
-  if (s.for_step) for_each_stmt(*s.for_step, fn);
-}
-
-namespace {
-
-void visit_stmt_exprs(const Stmt& s, const std::function<void(const Expr&)>& fn) {
-  if (s.cond) for_each_expr(*s.cond, fn);
-  if (s.lhs) for_each_expr(*s.lhs, fn);
-  if (s.rhs) for_each_expr(*s.rhs, fn);
-  for (const auto& item : s.case_items) {
-    for (const auto& label : item.labels) {
-      if (label) for_each_expr(*label, fn);
-    }
-  }
-}
-
-}  // namespace
-
-void for_each_module_expr(const Module& m, const std::function<void(const Expr&)>& fn) {
-  for (const auto& p : m.params) {
-    if (p.value) for_each_expr(*p.value, fn);
-  }
-  for (const auto& n : m.nets) {
-    if (n.init) for_each_expr(*n.init, fn);
-  }
-  for (const auto& a : m.assigns) {
-    if (a.lhs) for_each_expr(*a.lhs, fn);
-    if (a.rhs) for_each_expr(*a.rhs, fn);
-  }
-  for_each_module_stmt(m, [&fn](const Stmt& s) { visit_stmt_exprs(s, fn); });
-  for (const auto& inst : m.instances) {
-    for (const auto& conn : inst.connections) {
-      if (conn.actual) for_each_expr(*conn.actual, fn);
-    }
-  }
-}
-
-void for_each_module_stmt(const Module& m, const std::function<void(const Stmt&)>& fn) {
-  for (const auto& b : m.always_blocks) {
-    if (b.body) for_each_stmt(*b.body, fn);
-  }
-  for (const auto& b : m.initial_blocks) {
-    if (b.body) for_each_stmt(*b.body, fn);
-  }
-}
-
-void collect_identifiers(const Expr& e, std::vector<std::string>& out) {
-  for_each_expr(e, [&out](const Expr& node) {
-    if (node.kind == ExprKind::Identifier) out.push_back(node.name);
-  });
-}
-
 }  // namespace noodle::verilog

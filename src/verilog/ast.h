@@ -1,14 +1,15 @@
 #pragma once
 // Abstract syntax tree for the supported Verilog subset.
 //
-// The AST is the hub of the whole system: the parser produces it, the Trojan
-// inserter rewrites it, the tabular feature extractor walks it, the graph
-// builder lowers it to a data-flow graph, and the printer turns it back into
-// Verilog text. Nodes are owned via std::unique_ptr and deep-clonable so the
-// inserter can derive an infected variant without mutating the original.
+// This is the mutable tree for code that rewrites RTL: the corpus builder
+// parses generated designs into it, the Trojan inserter and the decoy pass
+// rewrite it, the printer turns it back into Verilog text, and sim executes
+// it. Nodes are owned via std::unique_ptr and deep-clonable so the inserter
+// can derive an infected variant without mutating the original. Analysis
+// (graph lowering, the tabular features, lint) reads the arena form in
+// fast_ast.h instead.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -132,7 +133,6 @@ struct BitRange {
   int lsb = 0;
 
   int width() const noexcept { return msb - lsb + 1; }
-  bool is_scalar() const noexcept { return msb == 0 && lsb == 0; }
 };
 
 struct PortDecl {
@@ -226,31 +226,6 @@ struct Module {
 /// by convention of the corpus generator.
 struct SourceFile {
   std::vector<Module> modules;
-
-  SourceFile clone() const;
-
-  const Module* find_module(const std::string& name) const;
 };
-
-// ---------------------------------------------------------------------------
-// Traversal helpers
-// ---------------------------------------------------------------------------
-
-/// Invokes fn on every expression in the tree rooted at e (pre-order).
-void for_each_expr(const Expr& e, const std::function<void(const Expr&)>& fn);
-
-/// Invokes fn on every statement under s (pre-order), then descends into
-/// nested statements; expressions are not visited.
-void for_each_stmt(const Stmt& s, const std::function<void(const Stmt&)>& fn);
-
-/// Visits every expression in the module: declarations, assigns, always and
-/// initial bodies, and instance connections.
-void for_each_module_expr(const Module& m, const std::function<void(const Expr&)>& fn);
-
-/// Visits every statement in all always/initial bodies of the module.
-void for_each_module_stmt(const Module& m, const std::function<void(const Stmt&)>& fn);
-
-/// Collects every identifier mentioned in an expression tree.
-void collect_identifiers(const Expr& e, std::vector<std::string>& out);
 
 }  // namespace noodle::verilog

@@ -1,6 +1,6 @@
 #pragma once
-// Arena AST — the allocation-free mirror of ast.h used by the featurization
-// hot path.
+// Arena AST — the allocation-free mirror of ast.h, and the one tree that
+// analysis reads: graph lowering, the tabular features and lint.
 //
 // Nodes live in a util::Arena owned by a verilog::ParserWorkspace: child
 // lists are arena-resident spans, identifiers are u32 symbols interned once
@@ -9,10 +9,9 @@
 // zero times and the whole tree is dropped by one Arena::reset().
 //
 // The mutable owned AST in ast.h remains the tree for everything that
-// *rewrites* RTL (trojan::TrojanInserter, data::designgen, the printer);
-// parse_source()/parse_module() convert this arena form into it. Field
-// names deliberately match ast.h so the feature extractors can be written
-// once as templates over either representation.
+// *rewrites* RTL (trojan::TrojanInserter, the decoy pass, the printer,
+// sim); parse_source()/parse_module() convert this arena form into it.
+// Field names match ast.h, so to_owned() is a field-by-field copy.
 
 #include <cstdint>
 #include <optional>

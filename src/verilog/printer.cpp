@@ -36,7 +36,12 @@ std::string indent_of(int depth) { return std::string(static_cast<std::size_t>(d
 
 std::string range_text(const std::optional<BitRange>& range) {
   if (!range) return "";
-  return "[" + std::to_string(range->msb) + ":" + std::to_string(range->lsb) + "] ";
+  std::string text = "[";
+  text += std::to_string(range->msb);
+  text += ':';
+  text += std::to_string(range->lsb);
+  text += "] ";
+  return text;
 }
 
 const char* dir_text(PortDir dir) {
@@ -101,8 +106,14 @@ std::string print_expr(const Expr& e) {
       }
       return out + "}";
     }
-    case ExprKind::Replicate:
-      return "{" + print_expr(*e.operands[0]) + "{" + print_expr(*e.operands[1]) + "}}";
+    case ExprKind::Replicate: {
+      std::string out = "{";
+      out += print_expr(*e.operands[0]);
+      out += '{';
+      out += print_expr(*e.operands[1]);
+      out += "}}";
+      return out;
+    }
   }
   return "/*invalid*/0";
 }

@@ -4,11 +4,22 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string_view>
 
 #include "verilog/parser.h"
 
 namespace noodle::feat {
 namespace {
+
+/// Extracts the tabular vector of a single-module source through the arena
+/// parse, as featurize does.
+std::vector<double> tabular_of(std::string_view source) {
+  verilog::ParserWorkspace parser;
+  TabularScratch scratch;
+  std::vector<double> out(kTabularFeatureDim);
+  tabular_features(parser.parse_single(source), out, scratch);
+  return out;
+}
 
 TEST(Tabular, DimensionAndNames) {
   EXPECT_EQ(tabular_feature_names().size(), kTabularFeatureDim);
@@ -36,14 +47,12 @@ const char* kKnown =
 class KnownModule : public ::testing::Test {
  protected:
   void SetUp() override {
-    module_ = verilog::parse_module(kKnown);
-    features_ = tabular_features(module_);
+    features_ = tabular_of(kKnown);
     const auto& names = tabular_feature_names();
     for (std::size_t i = 0; i < names.size(); ++i) index_[names[i]] = i;
   }
   double at(const std::string& name) const { return features_.at(index_.at(name)); }
 
-  verilog::Module module_;
   std::vector<double> features_;
   std::map<std::string, std::size_t> index_;
 };
@@ -85,16 +94,13 @@ TEST_F(KnownModule, AssignmentCounts) {
 }
 
 TEST(Tabular, EmptyModuleAllFinite) {
-  const verilog::Module m = verilog::parse_module("module e; endmodule");
-  const auto f = tabular_features(m);
+  const auto f = tabular_of("module e; endmodule");
   ASSERT_EQ(f.size(), kTabularFeatureDim);
   for (const double v : f) EXPECT_TRUE(std::isfinite(v));
 }
 
 TEST(Tabular, WideRegDetected) {
-  const verilog::Module m = verilog::parse_module(
-      "module w;\n  reg [31:0] big;\n  reg [3:0] small;\nendmodule");
-  const auto f = tabular_features(m);
+  const auto f = tabular_of("module w;\n  reg [31:0] big;\n  reg [3:0] small;\nendmodule");
   const auto& names = tabular_feature_names();
   const auto idx = static_cast<std::size_t>(
       std::find(names.begin(), names.end(), "wide_regs") - names.begin());

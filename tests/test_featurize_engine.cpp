@@ -1,15 +1,17 @@
 // The featurization front end's contract: the arena path (string_view
 // lexer -> arena AST -> interned NetGraph -> scratch-based extractors,
-// driven by feat::FeaturizeWorkspace) produces feature vectors bit-identical
-// to the classic owning path it replaced, preserves lexer line/column
-// information, keeps the intern pool stable under growth and collisions,
-// and — the headline — performs zero heap allocations in steady state
-// (counted by the global operator new override below; this suite is its own
-// executable, so the override is scoped to it).
+// driven by feat::FeaturizeWorkspace) produces the pinned feature vectors
+// of the bundled corpus, gives a warm, reused workspace the same answer as
+// a cold one, preserves lexer line/column information, keeps the intern
+// pool stable under growth and collisions, and — the headline — performs
+// zero heap allocations in steady state (counted by the global operator new
+// override below; this suite is its own executable, so the override is
+// scoped to it).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <string>
@@ -23,6 +25,7 @@
 #include "feat/tabular.h"
 #include "graph/builder.h"
 #include "graph/features.h"
+#include "util/binary_io.h"
 #include "util/intern.h"
 #include "verilog/lexer.h"
 #include "verilog/parser.h"
@@ -57,8 +60,8 @@ namespace noodle {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Reference path: the classic owning pipeline, unchanged semantics. The
-// arena path must reproduce it bit for bit.
+// Reference: a cold workspace per call. A warm, reused workspace must
+// reproduce it bit for bit; the digest pin below fixes its values.
 // ---------------------------------------------------------------------------
 
 struct FeaturePair {
@@ -66,18 +69,15 @@ struct FeaturePair {
   std::vector<double> tabular;
 };
 
-FeaturePair reference_features(const std::string& source) {
-  const verilog::Module module = verilog::parse_module(source);
-  FeaturePair out;
-  out.graph = graph::graph_features(graph::build_netgraph(module));
-  out.tabular = feat::tabular_features(module);
-  return out;
-}
-
 FeaturePair workspace_features(feat::FeaturizeWorkspace& ws, const std::string& source) {
   FeaturePair out;
   ws.featurize(source, out.graph, out.tabular);
   return out;
+}
+
+FeaturePair reference_features(const std::string& source) {
+  feat::FeaturizeWorkspace fresh;
+  return workspace_features(fresh, source);
 }
 
 void expect_identical(const FeaturePair& want, const FeaturePair& got,
@@ -100,6 +100,23 @@ const std::vector<data::CircuitSample>& bundled_corpus() {
 // ---------------------------------------------------------------------------
 // Bit-identity, bundled corpus
 // ---------------------------------------------------------------------------
+
+TEST(FeaturizeIdentity, BundledCorpusFeaturesArePinned) {
+  // FNV-1a over the IEEE-754 bits of every graph and tabular value of the
+  // bundled corpus, in corpus order. Any numeric change to a feature moves
+  // it; such a change must also bump kFeatureVersion, so both are pinned
+  // here together.
+  EXPECT_EQ(feat::kFeatureVersion, 2u);
+  std::vector<double> values;
+  for (const auto& circuit : bundled_corpus()) {
+    const FeaturePair features = reference_features(circuit.verilog);
+    values.insert(values.end(), features.graph.begin(), features.graph.end());
+    values.insert(values.end(), features.tabular.begin(), features.tabular.end());
+  }
+  ASSERT_EQ(values.size(), 3456u);
+  EXPECT_EQ(util::fnv1a64(values.data(), values.size() * sizeof(double)),
+            std::uint64_t{0x7869fe24ace80e18});
+}
 
 TEST(FeaturizeIdentity, BitIdenticalAcrossBundledCorpus) {
   feat::FeaturizeWorkspace ws;
@@ -235,38 +252,31 @@ TEST(FeaturizeIdentity, PathologicalRtl) {
 }
 
 TEST(FeaturizeIdentity, ManyModulesFile) {
+  // Each module of a multi-module file featurizes exactly as the same
+  // module parsed on its own.
+  std::vector<std::string> modules;
   std::string source;
-  const int module_count = 30;
-  for (int i = 0; i < module_count; ++i) {
-    source += "module m" + std::to_string(i) +
-              "(input [7:0] x_" + std::to_string(i) + ", output [7:0] y);\n"
-              "  assign y = x_" + std::to_string(i) + " + 8'd" + std::to_string(i) +
-              ";\nendmodule\n";
+  for (int i = 0; i < 30; ++i) {
+    const std::string n = std::to_string(i);
+    modules.push_back("module m" + n + "(input [7:0] x_" + n + ", output [7:0] y);\n" +
+                      "  assign y = x_" + n + " + 8'd" + n + ";\nendmodule\n");
+    source += modules.back();
   }
-  // Owning and arena parses of the same multi-module file must agree
-  // module by module.
-  const verilog::SourceFile owned = verilog::parse_source(source);
   verilog::ParserWorkspace pws;
-  const verilog::fast::SourceFile& fast_file = pws.parse(source);
-  ASSERT_EQ(owned.modules.size(), static_cast<std::size_t>(module_count));
-  ASSERT_EQ(fast_file.modules.size(), owned.modules.size());
+  const verilog::fast::SourceFile& file = pws.parse(source);
+  ASSERT_EQ(file.modules.size(), modules.size());
 
   graph::NetGraph g(pws.symbols());
   graph::BuildScratch build_scratch;
   graph::FeatureScratch feature_scratch;
   feat::TabularScratch tabular_scratch;
-  for (std::size_t i = 0; i < owned.modules.size(); ++i) {
-    std::vector<double> want_graph = graph::graph_features(
-        graph::build_netgraph(owned.modules[i]));
-    std::vector<double> want_tab = feat::tabular_features(owned.modules[i]);
-
-    std::vector<double> got_graph(graph::kGraphFeatureDim);
-    std::vector<double> got_tab(feat::kTabularFeatureDim);
-    graph::build_netgraph(fast_file.modules[i], g, build_scratch);
-    graph::graph_features(g, got_graph, feature_scratch);
-    feat::tabular_features(fast_file.modules[i], got_tab, tabular_scratch);
-    EXPECT_EQ(want_graph, got_graph) << "module " << i;
-    EXPECT_EQ(want_tab, got_tab) << "module " << i;
+  for (std::size_t i = 0; i < modules.size(); ++i) {
+    FeaturePair got{std::vector<double>(graph::kGraphFeatureDim),
+                    std::vector<double>(feat::kTabularFeatureDim)};
+    graph::build_netgraph(file.modules[i], g, build_scratch);
+    graph::graph_features(g, got.graph, feature_scratch);
+    feat::tabular_features(file.modules[i], got.tabular, tabular_scratch);
+    expect_identical(reference_features(modules[i]), got, "module " + std::to_string(i));
   }
 }
 
@@ -618,11 +628,8 @@ TEST(FeaturizeAllocations, ReuseAcrossShrinkingAndGrowingSources) {
 
   feat::FeaturizeWorkspace reused;
   for (const std::string* source : {&big, &small, &medium, &small, &big, &medium}) {
-    feat::FeaturizeWorkspace fresh;
-    expect_identical(workspace_features(fresh, *source),
-                     workspace_features(reused, *source), "shrink/grow reuse");
     expect_identical(reference_features(*source), workspace_features(reused, *source),
-                     "shrink/grow vs reference");
+                     "shrink/grow reuse");
   }
 }
 

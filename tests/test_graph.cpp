@@ -6,12 +6,23 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string_view>
 
 #include "data/designgen.h"
 #include "verilog/parser.h"
 
 namespace noodle::graph {
 namespace {
+
+/// Lowers a single-module source through the arena parse, as featurize
+/// does. The graph keeps the parser's symbol table alive.
+NetGraph lower(std::string_view source) {
+  verilog::ParserWorkspace parser;
+  NetGraph graph(parser.symbols());
+  BuildScratch scratch;
+  build_netgraph(parser.parse_single(source), graph, scratch);
+  return graph;
+}
 
 TEST(NetGraph, AddNodesAndEdges) {
   NetGraph g;
@@ -110,9 +121,8 @@ TEST(NetGraph, SpectralSketchEmptyGraph) {
 // ---------------------------------------------------------------------------
 
 TEST(Builder, SimpleAssignDataflow) {
-  const verilog::Module m = verilog::parse_module(
+  const NetGraph g = lower(
       "module t (input a, input b, output y);\n  assign y = a & b;\nendmodule");
-  const NetGraph g = build_netgraph(m);
   // Nodes: a, b, y, '&' op.
   EXPECT_EQ(g.node_count(), 4u);
   const auto ops = g.nodes_of_type(NodeType::Op);
@@ -122,9 +132,8 @@ TEST(Builder, SimpleAssignDataflow) {
 }
 
 TEST(Builder, PortTypesMapped) {
-  const verilog::Module m = verilog::parse_module(
+  const NetGraph g = lower(
       "module t (input [3:0] a, output y);\n  reg [7:0] r;\n  wire w;\nendmodule");
-  const NetGraph g = build_netgraph(m);
   EXPECT_EQ(g.nodes_of_type(NodeType::Input).size(), 1u);
   EXPECT_EQ(g.nodes_of_type(NodeType::Output).size(), 1u);
   EXPECT_EQ(g.nodes_of_type(NodeType::Reg).size(), 1u);
@@ -135,22 +144,20 @@ TEST(Builder, PortTypesMapped) {
 }
 
 TEST(Builder, TernaryBecomesMux) {
-  const verilog::Module m = verilog::parse_module(
+  const NetGraph g = lower(
       "module t (input s, input a, input b, output y);\n"
       "  assign y = s ? a : b;\nendmodule");
-  const NetGraph g = build_netgraph(m);
   const auto muxes = g.nodes_of_type(NodeType::Mux);
   ASSERT_EQ(muxes.size(), 1u);
   EXPECT_EQ(g.in_degree(muxes[0]), 3u);
 }
 
 TEST(Builder, ControlDependenciesFromIf) {
-  const verilog::Module m = verilog::parse_module(
+  const NetGraph g = lower(
       "module t (input clk, input c, input d, output reg q);\n"
       "  always @(posedge clk)\n"
       "    if (c)\n      q <= d;\n"
       "endmodule");
-  const NetGraph g = build_netgraph(m);
   // q receives edges from: d (data), c (control), clk (sequential skeleton).
   const auto outputs = g.nodes_of_type(NodeType::Output);
   ASSERT_EQ(outputs.size(), 1u);
@@ -158,10 +165,9 @@ TEST(Builder, ControlDependenciesFromIf) {
 }
 
 TEST(Builder, SequentialFeedbackSelfLoop) {
-  const verilog::Module m = verilog::parse_module(
+  const NetGraph g = lower(
       "module t (input clk, output reg [3:0] q);\n"
       "  always @(posedge clk) q <= q + 4'd1;\nendmodule");
-  const NetGraph g = build_netgraph(m);
   // q feeds the adder, which feeds q: a cycle through the op node exists.
   const auto ops = g.nodes_of_type(NodeType::Op);
   ASSERT_EQ(ops.size(), 1u);
@@ -174,9 +180,8 @@ TEST(Builder, SequentialFeedbackSelfLoop) {
 }
 
 TEST(Builder, InstanceNodeBidirectional) {
-  const verilog::Module m = verilog::parse_module(
+  const NetGraph g = lower(
       "module t (input x, output z);\n  leaf u0 (.a(x), .y(z));\nendmodule");
-  const NetGraph g = build_netgraph(m);
   const auto instances = g.nodes_of_type(NodeType::Instance);
   ASSERT_EQ(instances.size(), 1u);
   EXPECT_EQ(g.in_degree(instances[0]), 2u);
@@ -184,18 +189,16 @@ TEST(Builder, InstanceNodeBidirectional) {
 }
 
 TEST(Builder, ConstantsBecomeConstNodes) {
-  const verilog::Module m = verilog::parse_module(
+  const NetGraph g = lower(
       "module t (input [7:0] a, output y);\n  assign y = a == 8'hAB;\nendmodule");
-  const NetGraph g = build_netgraph(m);
   const auto consts = g.nodes_of_type(NodeType::Const);
   ASSERT_EQ(consts.size(), 1u);
   EXPECT_EQ(g.node(consts[0]).width, 8);
 }
 
 TEST(Builder, UndeclaredIdentifierGetsImplicitWire) {
-  const verilog::Module m = verilog::parse_module(
-      "module t (output y);\n  assign y = mystery;\nendmodule");
-  EXPECT_NO_THROW(build_netgraph(m));
+  EXPECT_NO_THROW(lower(
+      "module t (output y);\n  assign y = mystery;\nendmodule"));
 }
 
 // ---------------------------------------------------------------------------
@@ -221,15 +224,15 @@ TEST(GraphFeatures, DeterministicForSameModule) {
   util::Rng rng_a(4), rng_b(4);
   const auto src_a = data::generate_design(data::DesignFamily::Crc, "d", rng_a);
   const auto src_b = data::generate_design(data::DesignFamily::Crc, "d", rng_b);
-  const auto fa = graph_features(build_netgraph(verilog::parse_module(src_a)));
-  const auto fb = graph_features(build_netgraph(verilog::parse_module(src_b)));
+  const auto fa = graph_features(lower(src_a));
+  const auto fb = graph_features(lower(src_b));
   EXPECT_EQ(fa, fb);
 }
 
 TEST(GraphFeatures, HistogramEntriesSumToOne) {
   util::Rng rng(5);
   const auto src = data::generate_design(data::DesignFamily::Alu, "d", rng);
-  const auto f = graph_features(build_netgraph(verilog::parse_module(src)));
+  const auto f = graph_features(lower(src));
   double type_sum = 0.0;
   for (std::size_t i = 0; i < kNodeTypeCount; ++i) type_sum += f[i];
   EXPECT_NEAR(type_sum, 1.0, 1e-9);
@@ -239,7 +242,7 @@ TEST(GraphFeatures, AllFamiliesProduceFiniteFeatures) {
   for (const auto family : data::all_design_families()) {
     util::Rng rng(11);
     const auto src = data::generate_design(family, "d", rng);
-    const auto f = graph_features(build_netgraph(verilog::parse_module(src)));
+    const auto f = graph_features(lower(src));
     for (const double v : f) {
       EXPECT_TRUE(std::isfinite(v)) << data::to_string(family);
     }
@@ -365,7 +368,7 @@ TEST(SpectralSketch, TracksDenseSpectrumFarTighterThanV1OnGeneratedCorpus) {
     for (const std::uint64_t seed : {1u, 7u, 23u, 51u, 104u, 999u}) {
       util::Rng rng(seed);
       const auto src = data::generate_design(family, "d", rng);
-      const NetGraph g = build_netgraph(verilog::parse_module(src));
+      const NetGraph g = lower(src);
       const auto truth = dense_spectrum_magnitudes(g, 3);
       const auto v1 = pre_csr_spectral_sketch(g, 3, 50);
       const auto v2 = g.spectral_sketch(3);
@@ -422,7 +425,7 @@ TEST(SpectralSketch, ScratchAndConvenienceFormsAgree) {
   AnalysisScratch scratch;
   for (const auto family : data::all_design_families()) {
     const auto src = data::generate_design(family, "d", rng);
-    const NetGraph g = build_netgraph(verilog::parse_module(src));
+    const NetGraph g = lower(src);
     std::vector<double> via_scratch(3, -1.0);
     g.spectral_sketch(via_scratch, 50, scratch);
     EXPECT_EQ(via_scratch, g.spectral_sketch(3, 50)) << data::to_string(family);

@@ -3,14 +3,17 @@
 // net::ScanServer end-to-end over real loopback sockets — bit-identical
 // serving vs direct submits, strict per-connection FIFO ordering,
 // reload-under-load generation consistency, BUSY admission control at 4x
-// overload, deadline TIMEOUT propagation, idle-client eviction, and the
-// graceful-drain state machine.
+// overload, deadline TIMEOUT propagation, idle-client eviction, paths that
+// name no small regular file, and the graceful-drain state machine.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -561,6 +564,50 @@ TEST_F(ScanServerFixture, UnreadableAndMalformedRequestsGetStatusLines) {
   const net::ServerStats stats = harness.server.stats();
   EXPECT_EQ(stats.protocol_errors, 1u);
   EXPECT_EQ(stats.requests, 2u);
+}
+
+TEST_F(ScanServerFixture, PathsToAnythingButASmallRegularFileAnswerReadErrorAtOnce) {
+  // The loop thread reads a request's path. A FIFO without a writer used
+  // to block it in open(2), so no other connection was answered, and
+  // /dev/zero read until memory ran out.
+  serve::DetectionService service(registry_with_a(), "m");
+  ServerHarness harness(service, net::ServerConfig{});
+
+  const std::filesystem::path fifo = dir_ / "request.fifo";
+  const std::filesystem::path oversized = dir_ / "oversized.v";
+  std::filesystem::remove(fifo);  // left over from a killed run
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  std::ofstream(oversized) << std::string(net::kMaxLineBytes + 1, ' ');
+  // Runs before the harness joins its loop: opening and closing the write
+  // end releases a loop thread blocked opening the FIFO for reading.
+  struct ReleaseFifo {
+    std::filesystem::path path;
+    ~ReleaseFifo() {
+      const int fd = ::open(path.c_str(), O_WRONLY | O_NONBLOCK);
+      if (fd >= 0) ::close(fd);
+      std::filesystem::remove(path);
+    }
+  } release{fifo};
+
+  LineClient client;
+  LineClient other;
+  ASSERT_TRUE(client.connect(harness.port()));
+  ASSERT_TRUE(other.connect(harness.port()));
+  ASSERT_TRUE(client.send_line(fifo.string()));
+  ASSERT_TRUE(other.send_line("~inline module t(input a, output b); assign b = a; endmodule"));
+  const auto answer = other.read_line(100);
+  ASSERT_TRUE(answer.has_value()) << "a FIFO path stalled another connection";
+  EXPECT_NE(answer->find("\tmodel=m@1\t"), std::string::npos) << *answer;
+
+  for (const std::filesystem::path& path :
+       {fifo, std::filesystem::path("/dev/null"), dir_, oversized}) {
+    if (path != fifo) {
+      ASSERT_TRUE(client.send_line(path.string()));
+    }
+    EXPECT_EQ(client.read_line(1000),
+              net::protocol::status_line("read-error", "m", path.string()));
+  }
+  std::filesystem::remove(oversized);
 }
 
 // --- reload under load (satellite: bit-identical across !reload storm) -------

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "core/detector.h"
@@ -280,6 +281,20 @@ TEST_F(SnapshotStoreTest, MissingDirectoryYieldsEmptySweeps) {
   EXPECT_EQ(store.rescan_now(), 0u);
   EXPECT_EQ(store.stats().scans, 1u);
   EXPECT_TRUE(registry.names().empty());
+}
+
+TEST_F(SnapshotStoreTest, NonPositivePollIntervalIsRefused) {
+  // A zero period made the poll thread sweep back to back, re-hashing
+  // every archive in the store on each pass.
+  serve::ModelRegistry registry;
+  obs::MetricsRegistry metrics;
+  serve::SnapshotStoreConfig config;
+  config.directory = dir_;
+  for (const auto interval : {std::chrono::milliseconds(0), std::chrono::milliseconds(-1)}) {
+    config.poll_interval = interval;
+    EXPECT_THROW({ serve::SnapshotStore store(config, registry, metrics); },
+                 std::invalid_argument);
+  }
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "data/designgen.h"
-#include "feat/tabular.h"
+#include "feat/featurize.h"
 #include "verilog/parser.h"
 #include "verilog/printer.h"
 
@@ -137,7 +137,13 @@ TEST(Trojan, InsertionChangesTabularFeatures) {
   util::Rng rng(2);
   TrojanConfig config;
   insert_trojan(infected, config, rng);
-  EXPECT_NE(feat::tabular_features(clean), feat::tabular_features(infected));
+  feat::FeaturizeWorkspace workspace;
+  const auto tabular = [&workspace](const verilog::Module& m) {
+    std::vector<double> graph, tab;
+    workspace.featurize(verilog::print_module(m), graph, tab);
+    return tab;
+  };
+  EXPECT_NE(tabular(clean), tabular(infected));
 }
 
 TEST(Trojan, VictimStillDrivenExactlyViaTap) {

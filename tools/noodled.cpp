@@ -11,7 +11,9 @@
 //
 // Request lines (identical grammar on stdin and socket — net/protocol.h is
 // the single definition):
-//   designs/foo.v          scan with the default model
+//   designs/foo.v          scan with the default model; a path must name a
+//                          regular file of at most 1 MiB (the line cap),
+//                          else the answer is read-error
 //   canary:designs/foo.v   scan with model "canary" (latest version)
 //   canary@2:designs/foo.v scan with a pinned version
 //   ~deadline=250 PATH     answer TIMEOUT instead of scanning if no worker
@@ -70,7 +72,7 @@
 //                     archives are rejected (reload event log) while the old
 //                     generation keeps serving. Polled every
 //                     --store-interval seconds; SIGHUP rescans immediately
-//   --store-interval N  seconds between store polls (default 2)
+//   --store-interval N  seconds between store polls (default 2; 1..86400)
 //   --metrics-interval N  seconds between metrics dumps (default 10; 0 =
 //                     only at exit/signal)
 //   --seed N          training seed (default 42)
@@ -287,6 +289,11 @@ Options parse_options(int argc, char** argv) {
   }
   if (options.batch == 0) usage(argv[0], "--batch must be positive");
   if (options.workers == 0) usage(argv[0], "--workers must be positive");
+  // 0 would sweep back to back; a day is the cap, so the period cannot
+  // overflow into a negative clock duration (SIGHUP rescans at any time).
+  if (options.store_interval == 0 || options.store_interval > 86400) {
+    usage(argv[0], "--store-interval must be 1..86400 seconds");
+  }
   if (options.listen >= 0 && options.net_max_conns == 0) {
     usage(argv[0], "--max-conns must be positive");
   }
@@ -680,13 +687,12 @@ int run_stdin_mode(const Options& options, serve::DetectionService& service,
                                        serve::SubmitOptions{request_line.deadline});
     } else {
       request.echo = request_line.body;
-      std::ifstream file(request_line.body);
-      if (!file) {
+      std::optional<std::string> source =
+          util::read_regular_file(request_line.body, net::kMaxLineBytes);
+      if (!source) {
         request.status = "read-error";
       } else {
-        std::ostringstream source;
-        source << file.rdbuf();
-        request.verdict = service.submit(request.model, source.str(),
+        request.verdict = service.submit(request.model, std::move(*source),
                                          serve::SubmitOptions{request_line.deadline});
       }
     }
