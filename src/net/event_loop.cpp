@@ -40,12 +40,22 @@ void EventLoop::add(int fd, std::uint32_t events, IoCallback callback) {
   event.events = events;
   event.data.fd = fd;
   if (::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, fd, &event) != 0) {
-    throw_errno("EventLoop: epoll_ctl(add)");
+    // Regular files and some devices (/dev/null) have no wait queue to
+    // sleep on: they never block, so they are always ready.
+    if (errno != EPERM) throw_errno("EventLoop: epoll_ctl(add)");
+    always_ready_[fd] = events;
   }
   io_callbacks_[fd] = std::move(callback);
 }
 
 void EventLoop::modify(int fd, std::uint32_t events) {
+  if (!always_ready_.empty()) {
+    const auto it = always_ready_.find(fd);
+    if (it != always_ready_.end()) {
+      it->second = events;
+      return;
+    }
+  }
   epoll_event event{};
   event.events = events;
   event.data.fd = fd;
@@ -58,6 +68,7 @@ void EventLoop::remove(int fd) {
   // The fd may already be closed by the caller; EBADF/ENOENT are then fine.
   ::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, fd, nullptr);
   io_callbacks_.erase(fd);
+  always_ready_.erase(fd);
   removed_this_round_.push_back(fd);
 }
 
@@ -172,6 +183,9 @@ void EventLoop::drain_posted() {
 }
 
 int EventLoop::poll_timeout_ms() const {
+  for (const auto& [fd, events] : always_ready_) {
+    if (events != 0) return 0;  // an always-ready fd has work now
+  }
   if (timers_.empty()) return -1;  // block until I/O, post, or signal
   // Sleep until the next slot holding a timer, not the next tick: a loop
   // whose only timer is a 30 s watchdog wakes once per revolution.
@@ -222,6 +236,18 @@ void EventLoop::advance_wheel() {
   }
 }
 
+void EventLoop::run_always_ready() {
+  // Callbacks may add, modify or remove fds: collect first, look up again.
+  std::vector<int> due;
+  for (const auto& [fd, events] : always_ready_) {
+    if (events != 0) due.push_back(fd);
+  }
+  for (const int fd : due) {
+    const auto it = always_ready_.find(fd);
+    if (it != always_ready_.end() && it->second != 0) io_callbacks_.at(fd)(it->second);
+  }
+}
+
 void EventLoop::run() {
   running_ = true;
   stop_.store(false, std::memory_order_release);
@@ -250,6 +276,7 @@ void EventLoop::run() {
       if (it == io_callbacks_.end()) continue;
       it->second(events[static_cast<std::size_t>(i)].events);
     }
+    if (!always_ready_.empty()) run_always_ready();
     drain_posted();
     advance_wheel();
     if (n == static_cast<int>(events.size())) events.resize(events.size() * 2);

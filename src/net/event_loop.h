@@ -8,7 +8,10 @@
 //
 // Three event sources fan into the same epoll_wait:
 //
-//   * I/O — add()/modify()/remove() register level-triggered fd callbacks;
+//   * I/O — add()/modify()/remove() register level-triggered fd callbacks.
+//     An fd that epoll refuses (a regular file, /dev/null) counts as always
+//     ready for what it asks, as poll(2) has it: its callback runs every
+//     round until modify() clears its interest or remove() forgets it;
 //   * timers — a hashed timer wheel (fixed tick, slot ring, rounds counter)
 //     drives watchdogs and deadlines: arming is O(1), a tick touches only
 //     its slot, and thousands of per-connection timers cost nothing while
@@ -51,13 +54,16 @@ class EventLoop {
   // --- I/O (loop thread) ---------------------------------------------------
 
   /// Registers `fd` level-triggered for `events` (EPOLLIN/EPOLLOUT bits).
-  /// The callback receives the ready event mask. Throws std::system_error.
+  /// The callback receives the ready event mask. An fd epoll refuses with
+  /// EPERM is always ready: its callback gets `events` every round, and the
+  /// loop does not sleep while it has any. Throws std::system_error.
   void add(int fd, std::uint32_t events, IoCallback callback);
-  /// Changes the interest mask of a registered fd.
+  /// Changes the interest mask of a registered fd (0 = none).
   void modify(int fd, std::uint32_t events);
   /// Unregisters; safe to call for an fd about to be closed. Pending
   /// events already harvested for this fd in the current poll round are
-  /// suppressed.
+  /// suppressed. A callback may remove its own fd, which destroys it: it
+  /// must touch none of its captures afterwards.
   void remove(int fd);
 
   // --- timers (loop thread) ------------------------------------------------
@@ -107,6 +113,8 @@ class EventLoop {
   };
 
   void advance_wheel();
+  /// Runs the callback of every always-ready fd with a nonzero interest.
+  void run_always_ready();
   void drain_posted();
   int poll_timeout_ms() const;
   /// Puts `id` into `slot` and marks the slot occupied.
@@ -119,6 +127,8 @@ class EventLoop {
   Fd wakeup_;  ///< eventfd: post() doorbell
 
   std::unordered_map<int, IoCallback> io_callbacks_;
+  /// The fds epoll refused, with their interest masks.
+  std::unordered_map<int, std::uint32_t> always_ready_;
   std::unordered_map<int, std::function<void(int)>> signal_callbacks_;
   bool signal_fd_added_ = false;
 

@@ -1,9 +1,8 @@
 #pragma once
 // net::protocol — the one definition of noodled's newline-delimited wire
-// grammar, shared by the stdin serving loop and the TCP transport so the
-// two modes cannot drift apart: a script piping request lines into stdin
-// and a client sending the same lines over a socket read byte-identical
-// verdict lines.
+// grammar, which net::ScanServer speaks on stdin and over TCP alike: a
+// script piping request lines into stdin and a client sending the same
+// lines over a socket read byte-identical verdict lines.
 //
 // Request line:
 //
@@ -52,9 +51,9 @@ struct RequestLine {
 };
 
 /// Parses one request line. `is_model(name)` decides whether a "prefix:"
-/// names a registered model (the stdin loop and the server both answer it
-/// with a registry probe), so paths containing ':' keep working. The body
-/// is the one part copied out of `line`.
+/// names a registered model (the server answers it with a registry probe),
+/// so paths containing ':' keep working. The body is the one part copied
+/// out of `line`.
 RequestLine parse_request_line(std::string_view line,
                                const std::function<bool(const std::string&)>& is_model);
 

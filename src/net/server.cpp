@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <optional>
+#include <poll.h>
 #include <string_view>
 #include <sys/epoll.h>
 #include <utility>
@@ -31,23 +32,24 @@ ScanServer::ScanServer(EventLoop& loop, serve::DetectionService& service,
 
 ScanServer::Metrics ScanServer::register_metrics(obs::MetricsRegistry& registry) {
   return Metrics{
-      registry.counter("noodle_net_accepted_total", "TCP connections accepted."),
+      registry.counter("noodle_net_accepted_total", "Connections accepted, stdio included."),
       registry.counter("noodle_net_dropped_total",
                        "Connections closed by the server (over-cap, watchdog, error)."),
-      registry.counter("noodle_net_requests_total", "Request lines received over TCP."),
-      registry.counter("noodle_net_responses_total", "Response lines queued for write."),
+      registry.counter("noodle_net_requests_total", "Request lines received (no controls)."),
+      registry.counter("noodle_net_responses_total",
+                       "Response lines queued for write, TCP control answers included."),
       registry.counter("noodle_net_shed_total",
                        "Requests answered BUSY by admission control."),
       registry.counter("noodle_net_timeouts_total",
                        "Requests answered TIMEOUT past a deadline."),
       registry.counter("noodle_net_protocol_errors_total",
                        "Malformed request lines and oversize unframed reads."),
-      registry.counter("noodle_net_bytes_rx_total", "Bytes read from clients."),
-      registry.counter("noodle_net_bytes_tx_total", "Bytes written to clients."),
-      registry.gauge("noodle_net_connections", "Open TCP connections."),
-      registry.gauge("noodle_net_inflight", "Socket requests in flight with the service."),
+      registry.counter("noodle_net_bytes_rx_total", "Bytes read from connections."),
+      registry.counter("noodle_net_bytes_tx_total", "Bytes written to connections."),
+      registry.gauge("noodle_net_connections", "Open connections, stdio included."),
+      registry.gauge("noodle_net_inflight", "Requests in flight with the service."),
       registry.gauge("noodle_net_wbuf_bytes",
-                     "Bytes buffered for clients across all connections."),
+                     "Bytes buffered for write across all connections."),
   };
 }
 
@@ -70,6 +72,19 @@ void ScanServer::start() {
   }
   port_ = port;
   loop_.add(listener_.get(), EPOLLIN, [this](std::uint32_t) { on_accept(); });
+}
+
+void ScanServer::serve_stream(int in_fd, int out_fd, StreamLog log) {
+  auto conn = std::make_unique<Connection>();
+  conn->id = next_conn_id_++;
+  conn->in_fd = in_fd;
+  conn->out_fd = out_fd;
+  conn->stream = true;
+  update_interest(*conn);  // registers in_fd, or throws
+  stream_log_ = std::move(log);
+  connections_.emplace(conn->id, std::move(conn));
+  metrics_.accepted.inc();
+  metrics_.connections.add(1);
 }
 
 ScanServer::Connection* ScanServer::find(std::uint64_t id) {
@@ -97,6 +112,7 @@ void ScanServer::on_accept() {
     auto conn = std::make_unique<Connection>();
     conn->id = next_conn_id_++;
     conn->fd = std::move(fd);
+    conn->in_fd = conn->out_fd = conn->fd.get();
     const std::uint64_t id = conn->id;
     const int raw_fd = conn->fd.get();
     connections_.emplace(id, std::move(conn));
@@ -112,11 +128,14 @@ void ScanServer::on_accept() {
 void ScanServer::on_io(std::uint64_t id, std::uint32_t events) {
   Connection* conn = find(id);
   if (conn == nullptr) return;
-  if ((events & (EPOLLHUP | EPOLLERR)) != 0) {
+  // A pipe's EPOLLHUP (writer closed) may leave lines to read: a stream
+  // reads on to EOF. On a socket both ways are gone.
+  const std::uint32_t fatal = conn->stream ? EPOLLERR : EPOLLHUP | EPOLLERR;
+  if ((events & fatal) != 0) {
     close_connection(id, /*server_initiated=*/true);
     return;
   }
-  if ((events & EPOLLIN) != 0) {
+  if ((events & (EPOLLIN | EPOLLHUP)) != 0) {
     if (!handle_read(id)) return;
   }
   if ((events & EPOLLOUT) != 0) {
@@ -131,7 +150,7 @@ bool ScanServer::handle_read(std::uint64_t id) {
   Connection* conn = find(id);
   if (conn == nullptr) return false;
   char chunk[kReadChunk];
-  const ssize_t n = checked_read(conn->fd.get(), chunk, sizeof chunk);
+  const ssize_t n = checked_read(conn->in_fd, chunk, sizeof chunk);
   if (n < 0) {
     if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
       return true;  // level-triggered epoll retries for us
@@ -141,10 +160,15 @@ bool ScanServer::handle_read(std::uint64_t id) {
   }
   if (n == 0) {
     // Client half-closed: it wants its remaining answers, then a clean
-    // close. Stop reading, keep flushing.
+    // close. Stop reading, keep flushing. A last line without its newline
+    // is still a line.
     conn->half_closed = true;
     update_interest(*conn);
-    if (conn->pending.empty() && conn->buffered_bytes() == 0) {
+    if (!conn->rbuf.empty()) {
+      conn->rbuf += '\n';
+      if (!handle_lines(id)) return false;
+    }
+    if (finished(*conn)) {
       close_connection(id, /*server_initiated=*/false);
       return false;
     }
@@ -162,13 +186,22 @@ bool ScanServer::handle_read(std::uint64_t id) {
     close_connection(id, /*server_initiated=*/true);
     return false;
   }
+  return handle_lines(id);
+}
 
+bool ScanServer::handle_lines(std::uint64_t id) {
+  Connection* conn = find(id);
+  if (conn == nullptr) return false;
   // Lines are handled as views into rbuf, which nothing touches until the
   // consumed prefix is erased below; a line whose handling closed the
-  // connection ends the loop before the next view is read.
+  // connection ends the loop before the next view is read. A stream is
+  // held meanwhile, so no answer closes it with lines left.
+  conn->held = conn->stream;
+  bool waits = false;
   std::size_t start = 0;
   for (std::size_t nl = conn->rbuf.find('\n'); nl != std::string::npos;
        nl = conn->rbuf.find('\n', start)) {
+    if (conn->stream && (waits = stream_waits(*conn))) break;
     std::string_view line(conn->rbuf.data() + start, nl - start);
     if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
     start = nl + 1;
@@ -177,7 +210,16 @@ bool ScanServer::handle_read(std::uint64_t id) {
     if (conn == nullptr) return false;  // the line's handling closed us
   }
   conn->rbuf.erase(0, start);
-  return true;
+  if (!conn->stream) return true;
+  conn->held = waits;
+  update_interest(*conn);
+  flush_connection(*conn);  // closes a stream that owes and takes nothing more
+  return find(id) != nullptr;
+}
+
+bool ScanServer::stream_waits(Connection& conn) {
+  if (conn.pending.empty()) conn.barrier = false;
+  return conn.pending.size() >= (conn.barrier ? 1 : config_.max_inflight);
 }
 
 void ScanServer::handle_line(std::uint64_t id, std::string_view line) {
@@ -185,9 +227,14 @@ void ScanServer::handle_line(std::uint64_t id, std::string_view line) {
   if (conn == nullptr || line.empty()) return;
 
   if (line.front() == '!') {  // control line
+    const bool drain = line.starts_with("!drain");
+    if (drain && conn->stream) {
+      conn->barrier = true;  // a barrier on the stream; it prints nothing
+      return;
+    }
     auto slot = std::make_shared<Slot>();
     slot->ready = true;
-    if (line.starts_with("!drain")) {
+    if (drain) {
       slot->text = "noodled: draining\n";
       conn->pending.push_back(std::move(slot));
       begin_drain();  // flushes (and may close) every connection, incl. this
@@ -196,6 +243,10 @@ void ScanServer::handle_line(std::uint64_t id, std::string_view line) {
     std::string response = control_ ? control_(std::string(line))
                                     : std::string("noodled: no control handler\n");
     if (!response.empty() && response.back() != '\n') response += '\n';
+    if (conn->stream) {  // never among the stream's verdicts
+      stream_log_(response);
+      return;
+    }
     slot->text = std::move(response);
     conn->pending.push_back(std::move(slot));
     flush_connection(*conn);
@@ -219,11 +270,14 @@ void ScanServer::handle_line(std::uint64_t id, std::string_view line) {
     slot->echo = std::string(line);  // nothing parsed; echo what we got
     slot->ready = true;
     slot->text = protocol::status_line("bad-request", model, slot->echo) + "\n";
+    slot->failure = "bad request: " + request.error;
     metrics_.protocol_errors.inc();
-  } else if (draining_ || metrics_.inflight.value() >=
-                              static_cast<std::int64_t>(config_.max_inflight)) {
+  } else if (!conn->stream &&
+             (draining_ || metrics_.inflight.value() >=
+                               static_cast<std::int64_t>(config_.max_inflight))) {
     // Admission control: overload (or drain) answers instantly and
     // explicitly. The client can back off; nothing queues unboundedly.
+    // The stream was held back instead (stream_waits).
     slot->ready = true;
     slot->text = protocol::status_line("BUSY", model, slot->echo) + "\n";
     metrics_.shed.inc();
@@ -236,6 +290,7 @@ void ScanServer::handle_line(std::uint64_t id, std::string_view line) {
     if (!source) {
       slot->ready = true;
       slot->text = protocol::status_line("read-error", model, slot->echo) + "\n";
+      slot->failure = slot->echo + ": not a readable regular file of at most 1 MiB";
     } else {
       const std::chrono::milliseconds deadline =
           request.deadline.count() > 0 ? request.deadline : config_.default_deadline;
@@ -306,16 +361,16 @@ void ScanServer::complete_request(std::uint64_t id, const std::shared_ptr<Slot>&
   } catch (const serve::DeadlineError&) {
     text = protocol::status_line("TIMEOUT", slot->model, slot->echo);
     metrics_.timeouts.inc();
-  } catch (const serve::RegistryError&) {
+  } catch (const serve::RegistryError& e) {
     text = protocol::status_line("no-model", slot->model, slot->echo);
-  } catch (const std::exception&) {
+    slot->failure = slot->echo + ": " + e.what();
+  } catch (const std::exception& e) {
     text = protocol::status_line("parse-error", slot->model, slot->echo);
+    slot->failure = slot->echo + ": " + e.what();
   }
   slot->text = text + "\n";
   slot->ready = true;
-  Connection* conn = find(id);
-  if (conn == nullptr) return;  // client left before its answer; drop it
-  flush_connection(*conn);
+  answered(id);
 }
 
 void ScanServer::deadline_fired(std::uint64_t id, const std::shared_ptr<Slot>& slot) {
@@ -325,16 +380,27 @@ void ScanServer::deadline_fired(std::uint64_t id, const std::shared_ptr<Slot>& s
   slot->text = protocol::status_line("TIMEOUT", slot->model, slot->echo) + "\n";
   slot->ready = true;
   metrics_.timeouts.inc();
+  answered(id);
+}
+
+void ScanServer::answered(std::uint64_t id) {
   Connection* conn = find(id);
-  if (conn == nullptr) return;
+  if (conn == nullptr) return;  // client left before its answer; drop it
+  const bool held = conn->held;
   flush_connection(*conn);
+  if (held) handle_lines(id);
 }
 
 void ScanServer::flush_connection(Connection& conn) {
   // Responses stream strictly in request order: drain the ready prefix of
   // the pipeline into the write buffer, then push bytes.
   while (!conn.pending.empty() && conn.pending.front()->ready) {
-    const std::string& text = conn.pending.front()->text;
+    const Slot& slot = *conn.pending.front();
+    if (conn.stream && !slot.failure.empty()) {
+      ++stream_failures_;
+      stream_log_("noodled: " + slot.failure + "\n");
+    }
+    const std::string& text = slot.text;
     conn.wbuf += text;
     metrics_.wbuf_bytes.add(static_cast<std::int64_t>(text.size()));
     metrics_.responses.inc();
@@ -342,21 +408,24 @@ void ScanServer::flush_connection(Connection& conn) {
   }
   if (!write_some(conn)) return;
 
-  const std::uint64_t id = conn.id;
-  if (conn.buffered_bytes() == 0 && conn.pending.empty() &&
-      (conn.half_closed || draining_)) {
-    close_connection(id, /*server_initiated=*/false);
+  if (finished(conn)) {
+    close_connection(conn.id, /*server_initiated=*/false);
     return;
   }
   check_drained();
+}
+
+bool ScanServer::finished(const Connection& conn) const noexcept {
+  return conn.buffered_bytes() == 0 && conn.pending.empty() && !conn.held &&
+         (conn.half_closed || draining_);
 }
 
 bool ScanServer::write_some(Connection& conn) {
   const std::uint64_t id = conn.id;
   bool progressed = false;
   while (conn.wbuf_off < conn.wbuf.size()) {
-    const ssize_t n = checked_write(conn.fd.get(), conn.wbuf.data() + conn.wbuf_off,
-                                    conn.wbuf.size() - conn.wbuf_off);
+    const ssize_t n = checked_write(conn.out_fd, conn.wbuf.data() + conn.wbuf_off,
+                                    conn.wbuf.size() - conn.wbuf_off, !conn.stream);
     if (n > 0) {
       conn.wbuf_off += static_cast<std::size_t>(n);
       progressed = true;
@@ -365,7 +434,14 @@ bool ScanServer::write_some(Connection& conn) {
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      if (!conn.stream) break;
+      // The stream's writes block; an out_fd that came non-blocking waits
+      // here as a blocking write would.
+      struct pollfd writable = {conn.out_fd, POLLOUT, 0};
+      ::poll(&writable, 1, -1);
+      continue;
+    }
     // ECONNRESET/EPIPE/...: the client is gone mid-response. The torn
     // bytes never reached anyone — and a fresh connection re-requesting
     // gets a bit-identical verdict from the cache, so nothing is lost.
@@ -417,8 +493,22 @@ bool ScanServer::write_some(Connection& conn) {
 }
 
 void ScanServer::update_interest(Connection& conn) {
+  const bool reading = !conn.paused && !conn.half_closed && !conn.held;
+  if (conn.stream) {
+    // Its writes block, and its input is switched by registration: a pipe
+    // whose writer closed reports EPOLLHUP whatever the mask says.
+    if (reading == conn.reading) return;
+    if (reading) {
+      loop_.add(conn.in_fd, EPOLLIN,
+                [this, id = conn.id](std::uint32_t events) { on_io(id, events); });
+    } else {
+      loop_.remove(conn.in_fd);
+    }
+    conn.reading = reading;
+    return;
+  }
   std::uint32_t events = 0;
-  if (!conn.paused && !conn.half_closed) events |= EPOLLIN;
+  if (reading) events |= EPOLLIN;
   if (conn.want_write) events |= EPOLLOUT;
   loop_.modify(conn.fd.get(), events);
 }
@@ -474,11 +564,17 @@ void ScanServer::close_connection(std::uint64_t id, bool server_initiated) {
     // completed == true and drops its orphaned verdict.
     if (!slot->completed) settle_slot(*slot);
   }
-  loop_.remove(conn.fd.get());
+  if (!conn.stream || conn.reading) loop_.remove(conn.in_fd);
   metrics_.wbuf_bytes.sub(static_cast<std::int64_t>(conn.buffered_bytes()));
+  const bool stream = conn.stream;
   connections_.erase(it);
   metrics_.connections.sub(1);
   if (server_initiated) metrics_.dropped.inc();
+  if (stream) {
+    // A stream cut short left lines unanswered; its end ends the server.
+    if (server_initiated) ++stream_failures_;
+    begin_drain();
+  }
   check_drained();
 }
 
@@ -491,12 +587,18 @@ void ScanServer::begin_drain() {
   }
   // Flush every connection; those with nothing outstanding close here, the
   // rest close when their last response flushes (see flush_connection).
+  // The stream reads no further, as at EOF, but answers what it has read.
   std::vector<std::uint64_t> ids;
   ids.reserve(connections_.size());
   for (const auto& [id, conn] : connections_) ids.push_back(id);
   for (const std::uint64_t id : ids) {
     Connection* conn = find(id);
-    if (conn != nullptr) flush_connection(*conn);
+    if (conn == nullptr) continue;
+    if (conn->stream) {
+      conn->half_closed = true;
+      update_interest(*conn);
+    }
+    flush_connection(*conn);
   }
   if (config_.drain_grace.count() > 0 && !connections_.empty()) {
     drain_grace_timer_ = loop_.add_timer(config_.drain_grace, [this] {

@@ -1,9 +1,9 @@
 #pragma once
-// net::ScanServer — noodled's TCP front end: thousands of concurrent
-// connections speaking the newline-delimited protocol of net/protocol.h,
-// multiplexed onto one net::EventLoop thread and mapped 1:1 onto
-// DetectionService::submit_async. The loop NEVER blocks on inference:
-// verdicts computed on service workers are marshalled back with
+// net::ScanServer — noodled's one serving loop: TCP clients (start()) and
+// a stdio stream (serve_stream()) speaking the newline-delimited protocol
+// of net/protocol.h, multiplexed onto one net::EventLoop thread and mapped
+// 1:1 onto DetectionService::submit_async. The loop NEVER blocks on
+// inference: verdicts computed on service workers are marshalled back with
 // EventLoop::post and stream out per connection in request order.
 //
 // Robustness is the design, not an afterthought:
@@ -30,6 +30,14 @@
 //     in-flight work finish or deadline out, flushes every write buffer,
 //     force-closes laggards after drain_grace, then fires on_drained —
 //     noodled flushes the disk cache and exits 0.
+//
+// The stream is the operator's: its control output and per-request
+// diagnostics go to its log, not among the verdicts; it is never answered
+// BUSY but stops reading while max_inflight of its requests are
+// unanswered; its "!drain" is a barrier holding later lines until every
+// earlier answer is out; no watchdog evicts it; its writes block. Its end
+// (EOF, a line over kMaxLineBytes) begins the drain; a drain ends its
+// reading as EOF would.
 //
 // Counting: the noodle_net_* counters and gauges are handles into the
 // service's obs::MetricsRegistry, registered at construction and updated
@@ -74,12 +82,13 @@ struct ServerConfig {
   /// never silently fill with zombies.
   std::size_t max_connections = 1024;
   /// Socket requests in flight with the service; excess answers "BUSY".
+  /// The stream stops reading while it owes this many answers instead.
   std::size_t max_inflight = 256;
   /// Evict a connection with nothing pending and nothing buffered after
-  /// this long without a byte received. Zero disables.
+  /// this long without a byte received. Zero disables. Never the stream.
   std::chrono::milliseconds idle_timeout{30000};
   /// Evict a connection whose write buffer made no progress this long.
-  /// Zero disables.
+  /// Zero disables. Never the stream.
   std::chrono::milliseconds write_stall_timeout{10000};
   /// Deadline applied to requests that carry no "~deadline=" flag; zero =
   /// none.
@@ -90,11 +99,12 @@ struct ServerConfig {
 
 /// A read of the transport's metrics cells (each field one atomic load).
 struct ServerStats {
-  std::uint64_t accepted = 0;        ///< connections accepted
+  std::uint64_t accepted = 0;        ///< connections accepted, the stream included
   std::uint64_t dropped = 0;         ///< connections closed BY the server
                                      ///  (over-cap, watchdog, error, grace)
-  std::uint64_t requests = 0;        ///< request lines parsed
+  std::uint64_t requests = 0;        ///< request lines parsed (no control lines)
   std::uint64_t responses = 0;       ///< response lines queued for write
+                                     ///  (TCP control answers included)
   std::uint64_t shed = 0;            ///< requests answered BUSY
   std::uint64_t timeouts = 0;        ///< requests answered TIMEOUT
   std::uint64_t protocol_errors = 0; ///< bad-request lines + oversize lines
@@ -110,6 +120,8 @@ class ScanServer {
   /// (multi-line allowed; "" = no response). "!drain" is intercepted by
   /// the server itself before this runs.
   using ControlHandler = std::function<std::string(const std::string& line)>;
+  /// Takes the stream's control output and diagnostics, newlines included.
+  using StreamLog = std::function<void(std::string_view text)>;
 
   /// Binds nothing yet — start() does. `service` and `loop` must outlive
   /// the server.
@@ -125,6 +137,16 @@ class ScanServer {
   /// (useful with config.port = 0).
   void start();
   std::uint16_t port() const noexcept { return port_; }
+
+  /// Serves the stream: request lines from `in_fd`, answers to `out_fd`.
+  /// The caller owns both fds and keeps them open until the loop stops.
+  /// Call once, before run() or on the loop thread. Throws
+  /// std::system_error if the loop refuses `in_fd`.
+  void serve_stream(int in_fd, int out_fd, StreamLog log);
+  /// Stream request lines answered with a failure status (TIMEOUT is
+  /// none), plus one if the server cut the stream short. Loop thread, or
+  /// after the loop has stopped.
+  std::uint64_t stream_failures() const noexcept { return stream_failures_; }
 
   void set_control_handler(ControlHandler handler) { control_ = std::move(handler); }
   /// Toggles the trace= column on verdict lines (the "!trace" control).
@@ -154,6 +176,7 @@ class ScanServer {
     std::string model;  ///< for the 5-field status shape
     std::string echo;   ///< path or "<inline>"
     std::string text;   ///< response line(s), set when ready
+    std::string failure;  ///< for the stream's log; "" unless a failure status
     bool ready = false;
     bool completed = false;  ///< in-flight accounting settled (first of
                              ///  service completion / deadline / close)
@@ -163,7 +186,10 @@ class ScanServer {
 
   struct Connection {
     std::uint64_t id = 0;
-    Fd fd;
+    Fd fd;  ///< the socket; empty for the stream, whose caller owns its fds
+    int in_fd = -1;
+    int out_fd = -1;
+    bool stream = false;
     std::string rbuf;
     std::string wbuf;
     std::size_t wbuf_off = 0;
@@ -175,6 +201,9 @@ class ScanServer {
     bool paused = false;       ///< EPOLLIN dropped for backpressure
     bool want_write = false;   ///< EPOLLOUT armed
     bool half_closed = false;  ///< client EOF; flush pending, then close
+    bool held = false;     ///< stream: rbuf holds unhandled lines; reading stops
+    bool barrier = false;  ///< stream: "!drain" holds lines until pending empties
+    bool reading = false;  ///< stream: in_fd registered with the loop
     std::size_t buffered_bytes() const noexcept { return wbuf.size() - wbuf_off; }
   };
 
@@ -183,7 +212,12 @@ class ScanServer {
   /// Reads once (level-triggered epoll re-arms); false if the connection
   /// died under this call.
   bool handle_read(std::uint64_t id);
+  /// Handles rbuf's complete lines, a stream up to one it must hold; false
+  /// if the connection died under it.
+  bool handle_lines(std::uint64_t id);
   void handle_line(std::uint64_t id, std::string_view line);
+  /// True while the stream owes max_inflight answers, or any past a barrier.
+  bool stream_waits(Connection& conn);
   void submit_scan(Connection& conn, const std::string& spec, std::string source,
                    std::shared_ptr<Slot> slot, std::chrono::milliseconds deadline);
   /// Marshalled completion (loop thread): resolves the future into a
@@ -191,9 +225,13 @@ class ScanServer {
   void complete_request(std::uint64_t id, const std::shared_ptr<Slot>& slot,
                         std::future<core::DetectionReport> verdict);
   void deadline_fired(std::uint64_t id, const std::shared_ptr<Slot>& slot);
+  /// Flushes after a slot is answered; a held stream takes its next lines.
+  void answered(std::uint64_t id);
   /// Settles a slot's in-flight accounting exactly once.
   void settle_slot(Slot& slot);
   void flush_connection(Connection& conn);
+  /// Owes nothing and takes nothing more: time to close.
+  bool finished(const Connection& conn) const noexcept;
   /// false if the connection died under the write.
   bool write_some(Connection& conn);
   void update_interest(Connection& conn);
@@ -237,6 +275,8 @@ class ScanServer {
   EventLoop::TimerId drain_grace_timer_ = 0;
   ControlHandler control_;
   std::function<void()> on_drained_;
+  StreamLog stream_log_;
+  std::uint64_t stream_failures_ = 0;
 };
 
 }  // namespace noodle::net

@@ -54,10 +54,13 @@ ssize_t checked_read(int fd, void* buf, std::size_t len) noexcept {
     errno = error;
     return -1;
   }
-  return ::recv(fd, buf, len, 0);
+  return ::read(fd, buf, len);
 }
 
-ssize_t checked_write(int fd, const void* buf, std::size_t len) noexcept {
+ssize_t checked_write(int fd, const void* buf, std::size_t len, bool socket) noexcept {
+  const auto put = [fd, buf, socket](std::size_t n) {
+    return socket ? ::send(fd, buf, n, MSG_NOSIGNAL) : ::write(fd, buf, n);
+  };
   util::FaultInjector* faults = util::FaultInjector::active();
   if (faults != nullptr) {
     int error = 0;
@@ -73,11 +76,11 @@ ssize_t checked_write(int fd, const void* buf, std::size_t len) noexcept {
       errno = EAGAIN;  // capped at zero without a scripted errno yet
       return -1;
     }
-    const ssize_t wrote = ::send(fd, buf, len, MSG_NOSIGNAL);
+    const ssize_t wrote = put(len);
     if (wrote > 0) faults->consume("net.write", static_cast<std::uint64_t>(wrote));
     return wrote;
   }
-  return ::send(fd, buf, len, MSG_NOSIGNAL);
+  return put(len);
 }
 
 bool set_nonblocking(int fd) noexcept {
@@ -179,13 +182,6 @@ void SignalPipe::hook(int signo) {
   action.sa_handler = signal_pipe_handler;
   ::sigemptyset(&action.sa_mask);
   action.sa_flags = SA_RESTART;
-  ::sigaction(signo, &action, nullptr);
-}
-
-void SignalPipe::unhook(int signo) {
-  struct sigaction action {};
-  action.sa_handler = SIG_DFL;
-  ::sigemptyset(&action.sa_mask);
   ::sigaction(signo, &action, nullptr);
 }
 

@@ -10,9 +10,9 @@
 // Fault points (all no-ops while no injector is armed — one relaxed load):
 //
 //   net.accept   accept4() on the listener        (EMFILE, ENFILE, ECONNABORTED)
-//   net.read     recv() on a connection           (EAGAIN, ECONNRESET, EIO)
-//   net.write    send() on a connection           (EAGAIN, ECONNRESET, EPIPE)
-//                + short_write byte budgets: each send is clamped to the
+//   net.read     read() on a connection           (EAGAIN, ECONNRESET, EIO)
+//   net.write    send()/write() on a connection   (EAGAIN, ECONNRESET, EPIPE)
+//                + short_write byte budgets: each write is clamped to the
 //                  remaining budget, so partial-flush handling is testable
 //
 // All wrappers return exactly what the raw syscall would (-1 + errno), so
@@ -57,13 +57,16 @@ class Fd {
 /// behind the "net.accept" fault point; accepted sockets get TCP_NODELAY.
 int checked_accept(int listen_fd) noexcept;
 
-/// recv(fd, buf, len, 0) behind the "net.read" fault point.
+/// read(fd, buf, len) behind the "net.read" fault point. On a socket that
+/// is recv(fd, buf, len, 0); unlike recv it also reads pipes and files.
 ssize_t checked_read(int fd, void* buf, std::size_t len) noexcept;
 
-/// send(fd, buf, len, MSG_NOSIGNAL) behind the "net.write" fault point,
-/// honouring short_write() byte budgets (the send is clamped to the
-/// remaining budget, so an armed test sees genuine partial writes).
-ssize_t checked_write(int fd, const void* buf, std::size_t len) noexcept;
+/// send(fd, buf, len, MSG_NOSIGNAL) on a `socket`, so a reset peer never
+/// raises SIGPIPE; write(fd, buf, len) on anything else, where send fails
+/// with ENOTSOCK. Behind the "net.write" fault point, honouring
+/// short_write() byte budgets (the write is clamped to the remaining
+/// budget, so an armed test sees genuine partial writes).
+ssize_t checked_write(int fd, const void* buf, std::size_t len, bool socket) noexcept;
 
 // --- plumbing --------------------------------------------------------------
 
@@ -81,23 +84,18 @@ Fd listen_tcp(const std::string& address, std::uint16_t& port, int backlog,
 Fd connect_tcp(const std::string& address, std::uint16_t port, std::error_code& ec);
 
 /// The process-wide async-signal-safe signal funnel: hooked signals write
-/// one byte (the signal number) to a self-pipe, and ANY interested thread
-/// — the net::EventLoop via epoll, or noodled's stdin-mode watcher via
-/// poll() — observes them by reading read_fd(). This is the single signal
-/// path both serving modes share; no more per-signal sig_atomic_t flags
-/// polled in different places.
+/// one byte (the signal number) to a self-pipe, and the net::EventLoop
+/// observes them by epolling read_fd() (EventLoop::watch_signal). This is
+/// noodled's one signal path; no per-signal sig_atomic_t flags polled in
+/// different places.
 class SignalPipe {
  public:
   /// The singleton (created on first use; the pipe lives for the process).
   static SignalPipe& instance();
 
   /// Installs the funnel handler for `signo` (idempotent). The previous
-  /// disposition is replaced; callers that want to die on SIGTERM after
-  /// cleanup re-raise with SIG_DFL themselves.
+  /// disposition is replaced.
   void hook(int signo);
-
-  /// Restores SIG_DFL for `signo`.
-  void unhook(int signo);
 
   /// The read end — nonblocking; poll/epoll it, then drain().
   int read_fd() const noexcept { return read_fd_; }

@@ -209,13 +209,6 @@ std::future<core::DetectionReport> DetectionService::submit(const std::string& m
   return submit_request(parse_model_spec(model_spec), std::move(verilog_source), {}, {});
 }
 
-std::future<core::DetectionReport> DetectionService::submit(const std::string& model_spec,
-                                                            std::string verilog_source,
-                                                            SubmitOptions options) {
-  return submit_request(parse_model_spec(model_spec), std::move(verilog_source), options,
-                        {});
-}
-
 void DetectionService::submit_async(std::string verilog_source, SubmitOptions options,
                                     CompletionFn on_complete) {
   submit_request(ModelSpec{default_model_, 0}, std::move(verilog_source), options,

@@ -67,8 +67,8 @@ class DeadlineError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Per-request knobs for submit()/submit_async(); default-constructed
-/// options reproduce the plain submit() behaviour exactly.
+/// Per-request knobs for submit_async(); default-constructed options
+/// reproduce submit()'s behaviour exactly.
 struct SubmitOptions {
   /// Relative deadline measured from submit; zero = none. Expiry fails the
   /// future with DeadlineError. The deadline is enforced when a worker
@@ -183,12 +183,6 @@ class DetectionService {
   std::future<core::DetectionReport> submit(const std::string& model_spec,
                                             std::string verilog_source);
 
-  /// submit() with per-request options; a deadline that expires before a
-  /// worker picks the request up fails the future with DeadlineError.
-  std::future<core::DetectionReport> submit(const std::string& model_spec,
-                                            std::string verilog_source,
-                                            SubmitOptions options);
-
   /// Synchronous convenience wrappers around submit().get().
   core::DetectionReport scan(std::string verilog_source);
   core::DetectionReport scan(const std::string& model_spec, std::string verilog_source);
@@ -200,7 +194,7 @@ class DetectionService {
   /// shutdown rejections. Event-loop callers marshal back with post().
   using CompletionFn = std::function<void(std::future<core::DetectionReport>)>;
 
-  /// Callback-style submit for reactor front ends (noodled's socket mode):
+  /// Callback-style submit for reactor front ends (noodled's ScanServer):
   /// same semantics as submit() — including the immediate cache-hit path —
   /// but the verdict is delivered to `on_complete` instead of a returned
   /// future, so an event loop never parks a thread on future.get(). A

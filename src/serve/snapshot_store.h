@@ -87,8 +87,8 @@ class SnapshotStore {
   std::size_t rescan_now();
 
   /// Wakes the poll thread to sweep immediately (the SIGHUP hook —
-  /// async-signal-UNSAFE, so noodled calls it from its signal-watcher
-  /// thread, not the handler itself).
+  /// async-signal-UNSAFE, so noodled calls it from its event loop's
+  /// signal callback, not the handler itself).
   void poke();
 
   SnapshotStoreStats stats() const;

@@ -1,16 +1,19 @@
-// Tests for the TCP transport: net::EventLoop semantics (timer wheel,
-// cross-thread post, signal fan-in), Nagle off on accepted sockets, and
-// net::ScanServer end-to-end over real loopback sockets — bit-identical
-// serving vs direct submits, strict per-connection FIFO ordering,
-// reload-under-load generation consistency, BUSY admission control at 4x
-// overload, deadline TIMEOUT propagation, idle-client eviction, paths that
-// name no small regular file, and the graceful-drain state machine.
+// Tests for the serving loop: net::EventLoop semantics (timer wheel,
+// cross-thread post, signal fan-in, always-ready fds), Nagle off on
+// accepted sockets, and net::ScanServer end-to-end over real loopback
+// sockets — bit-identical serving vs direct submits, strict
+// per-connection FIFO ordering, reload-under-load generation consistency,
+// BUSY admission control at 4x overload, deadline TIMEOUT propagation,
+// idle-client eviction, paths that name no small regular file, and the
+// graceful-drain state machine — and over its stdio stream, driven through
+// pipes, a file and /dev/null.
 
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -26,8 +29,10 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -198,7 +203,42 @@ TEST(EventLoopTest, WatchedSignalsDeliverAsLoopCallbacks) {
   runner.join();
   EXPECT_EQ(got.load(), SIGUSR1);
   EXPECT_EQ(cb_tid, runner_tid);
-  net::SignalPipe::instance().unhook(SIGUSR1);
+  std::signal(SIGUSR1, SIG_DFL);
+}
+
+TEST(EventLoopTest, AlwaysReadyFdsFireEveryRoundUntilModifiedOrRemoved) {
+  // epoll refuses a regular file with EPERM; the loop treats it as always
+  // ready, as poll(2) does, instead of throwing.
+  const std::filesystem::path path = std::filesystem::temp_directory_path() /
+                                     ("noodle_always_ready_" + std::to_string(::getpid()));
+  std::ofstream(path) << "x\n";
+  net::Fd file(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+  std::filesystem::remove(path);
+  ASSERT_TRUE(file);
+
+  net::EventLoop loop;
+  int fired = 0;
+  int fired_at_pause = -1;
+  std::uint32_t seen = 0;
+  loop.add(file.get(), EPOLLIN, [&](std::uint32_t events) {
+    seen |= events;
+    if (++fired == 3) {
+      loop.modify(file.get(), 0);
+      loop.add_timer(30ms, [&] {
+        fired_at_pause = fired;  // no interest, no calls
+        loop.modify(file.get(), EPOLLIN);
+      });
+    } else if (fired == 5) {
+      loop.add_timer(30ms, [&] { loop.stop(); });
+      loop.remove(file.get());  // destroys this callback: touch nothing after
+    }
+  });
+  loop.run();
+  EXPECT_EQ(fired_at_pause, 3);
+  EXPECT_EQ(fired, 5);
+  EXPECT_EQ(seen, static_cast<std::uint32_t>(EPOLLIN));
+  // Forgotten: modify() now reaches epoll, which never knew the fd.
+  EXPECT_THROW(loop.modify(file.get(), EPOLLIN), std::system_error);
 }
 
 // --- sockets -----------------------------------------------------------------
@@ -286,7 +326,8 @@ bool wait_for(const std::function<bool()>& done) {
 }
 
 /// A blocking line-oriented test client with read deadlines, so a server
-/// bug can never hang the suite.
+/// bug can never hang the suite. It reads with read(2), so `fd` may also
+/// be the read end of a pipe.
 struct LineClient {
   net::Fd fd;
   std::string acc;
@@ -321,7 +362,7 @@ struct LineClient {
       }
       if (ready == 0) return std::nullopt;
       char buf[4096];
-      const ssize_t got = ::recv(fd.get(), buf, sizeof buf, 0);
+      const ssize_t got = ::read(fd.get(), buf, sizeof buf);
       if (got < 0) {
         if (errno == EINTR) continue;
         return std::nullopt;
@@ -346,7 +387,7 @@ struct LineClient {
       if (ready < 0 && errno != EINTR) return true;
       if (ready <= 0) continue;
       char buf[4096];
-      const ssize_t got = ::recv(fd.get(), buf, sizeof buf, 0);
+      const ssize_t got = ::read(fd.get(), buf, sizeof buf);
       if (got == 0) return true;
       if (got < 0) return errno != EINTR;  // RST counts as closed
       acc.append(buf, static_cast<std::size_t>(got));
@@ -379,6 +420,98 @@ struct ServerHarness {
     }
   }
   std::uint16_t port() const { return server.port(); }
+};
+
+/// A pipe for feeding a stream. The write end is non-blocking, so
+/// write_all() can give up instead of hanging on a server that stopped
+/// reading.
+struct Pipe {
+  net::Fd read_end;
+  net::Fd write_end;
+  Pipe() {
+    int fds[2] = {-1, -1};
+    if (::pipe2(fds, O_CLOEXEC) != 0) return;
+    read_end.reset(fds[0]);
+    write_end.reset(fds[1]);
+    net::set_nonblocking(fds[1]);
+  }
+};
+
+/// Writes all of `data` to a non-blocking fd within 10 s.
+bool write_all(int fd, std::string_view data) {
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (!data.empty()) {
+    const ssize_t put = ::write(fd, data.data(), data.size());
+    if (put > 0) {
+      data.remove_prefix(static_cast<std::size_t>(put));
+      continue;
+    }
+    if (put < 0 && errno != EAGAIN && errno != EINTR) return false;
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    struct pollfd pfd = {fd, POLLOUT, 0};
+    ::poll(&pfd, 1, 100);
+  }
+  return true;
+}
+
+/// Runs a ScanServer whose one connection is a stream: request lines read
+/// from `in_fd`, answers written to a pipe the test reads through `out`,
+/// the stream's log captured. Drain completion stops the loop.
+struct StreamHarness {
+  net::EventLoop loop;
+  net::ScanServer server;
+  net::Fd out_write;
+  LineClient out;
+  std::mutex log_mu;
+  std::string log;
+  std::atomic<bool> drained{false};
+  std::thread thread;
+
+  StreamHarness(serve::DetectionService& service, net::ServerConfig config, int in_fd,
+                const std::function<void(net::ScanServer&)>& configure = {})
+      : server(loop, service, std::move(config)) {
+    Pipe answers;
+    out.fd = std::move(answers.read_end);
+    out_write = std::move(answers.write_end);
+    set_blocking(out_write.get());  // as stdout normally is
+    if (configure) configure(server);
+    server.set_on_drained([this] {
+      drained = true;
+      loop.stop();
+    });
+    server.serve_stream(in_fd, out_write.get(), [this](std::string_view text) {
+      std::lock_guard<std::mutex> lock(log_mu);
+      log += text;
+    });
+    thread = std::thread([this] { loop.run(); });
+  }
+  ~StreamHarness() { stop(); }
+
+  static void set_blocking(int fd) { ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) & ~O_NONBLOCK); }
+
+  void stop() {
+    if (thread.joinable()) {
+      loop.stop();
+      thread.join();
+    }
+  }
+  /// True once the stream's end drained the server and stopped the loop.
+  bool wait_drained() {
+    if (!wait_for([&] { return drained.load(); })) return false;
+    thread.join();
+    return true;
+  }
+  /// After the loop stopped: every answer line not read yet, up to EOF.
+  std::vector<std::string> rest() {
+    out_write.reset();
+    std::vector<std::string> lines;
+    while (std::optional<std::string> line = out.read_line(5000)) lines.push_back(*line);
+    return lines;
+  }
+  std::string log_text() {
+    std::lock_guard<std::mutex> lock(log_mu);
+    return log;
+  }
 };
 
 // --- ScanServer fixture ------------------------------------------------------
@@ -879,6 +1012,180 @@ TEST_F(ScanServerFixture, TraceToggleAddsTheTraceColumnToSocketVerdicts) {
   fields.push_back(line->substr(start));
   ASSERT_EQ(fields.size(), 6u) << *line;
   EXPECT_EQ(fields[4].rfind("trace=", 0), 0u) << *line;
+}
+
+// --- the stdio stream ------------------------------------------------------
+
+TEST_F(ScanServerFixture, StdioStreamWritesEachVerdictBeforeTheNextLine) {
+  serve::DetectionService service(registry_with_a(), "m");
+  Pipe in;
+  StreamHarness harness(service, net::ServerConfig{}, in.read_end.get());
+  for (std::size_t i = 0; i < 3; ++i) {
+    // The input stays open and nothing follows: the answer comes anyway.
+    ASSERT_TRUE(write_all(in.write_end.get(), (*files_)[i] + "\n"));
+    EXPECT_EQ(harness.out.read_line(5000), (*prefix_a_)[i] + "m@1\t" + (*files_)[i]);
+  }
+}
+
+TEST_F(ScanServerFixture, StdioStreamDrainIsABarrierSoTheSecondPassIsAllCacheHits) {
+  WorkerLatch latch;  // keeps the first pass in flight
+  serve::DetectionService service(registry_with_a(), "m");
+  Pipe in;
+  StreamHarness harness(service, net::ServerConfig{}, in.read_end.get());
+
+  std::string pass;
+  for (const std::string& file : *files_) pass += file + "\n";
+  ASSERT_TRUE(write_all(in.write_end.get(), pass + "!drain\n" + pass));
+  ASSERT_TRUE(latch.wait_held());
+  std::this_thread::sleep_for(50ms);
+  EXPECT_EQ(harness.server.stats().requests, files_->size());  // the barrier holds
+  latch.release();
+
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t i = 0; i < files_->size(); ++i) {
+      EXPECT_EQ(harness.out.read_line(), (*prefix_a_)[i] + "m@1\t" + (*files_)[i])
+          << "round " << round;
+    }
+  }
+  EXPECT_EQ(service.stats().scans, files_->size());
+  EXPECT_EQ(service.stats().cache_hits, files_->size());
+  EXPECT_EQ(harness.log_text(), "");  // "!drain" prints nothing
+}
+
+TEST_F(ScanServerFixture, StdioStreamBurstOfThreeTimesMaxInflightGetsEveryVerdictAndNoBusy) {
+  serve::ServiceConfig service_config;
+  service_config.cache_capacity = 0;
+  WorkerLatch latch;  // keeps admitted requests in flight
+  serve::DetectionService service(registry_with_a(), "m", service_config);
+  net::ServerConfig config;
+  config.max_inflight = 4;
+  Pipe in;
+  StreamHarness harness(service, config, in.read_end.get());
+
+  std::string burst;
+  for (std::size_t i = 0; i < 12; ++i) burst += (*files_)[i % files_->size()] + "\n";
+  ASSERT_TRUE(write_all(in.write_end.get(), burst));
+  ASSERT_TRUE(latch.wait_held());
+  std::this_thread::sleep_for(50ms);
+  EXPECT_EQ(harness.server.stats().requests, 4u);  // reading stopped at the limit
+  latch.release();
+
+  for (std::size_t i = 0; i < 12; ++i) {
+    const std::string& file = (*files_)[i % files_->size()];
+    EXPECT_EQ(harness.out.read_line(), (*prefix_a_)[i % files_->size()] + "m@1\t" + file)
+        << "request " << i;
+  }
+  const net::ServerStats stats = harness.server.stats();
+  EXPECT_EQ(stats.requests, 12u);
+  EXPECT_EQ(stats.shed, 0u);
+}
+
+TEST_F(ScanServerFixture, StdioStreamControlOutputReachesOnlyTheLog) {
+  serve::ServiceConfig service_config;
+  service_config.cache_capacity = 0;
+  WorkerLatch latch;  // holds the deadline request until the net timer answers it
+  serve::DetectionService service(registry_with_a(), "m", service_config);
+  Pipe in;
+  StreamHarness harness(service, net::ServerConfig{}, in.read_end.get(),
+                        [](net::ScanServer& server) {
+                          server.set_control_handler([](const std::string& line) {
+                            return "control " + line + "\n";
+                          });
+                        });
+  ASSERT_TRUE(write_all(in.write_end.get(), "!models\n~deadline=1 " + (*files_)[0] +
+                                                "\nno_such_file.v\n~deadline=abc x.v\n"
+                                                "!stats\n"));
+  in.write_end.reset();
+  EXPECT_EQ(harness.out.read_line(),
+            net::protocol::status_line("TIMEOUT", "m", (*files_)[0]));
+  latch.release();
+  ASSERT_TRUE(harness.wait_drained());
+
+  EXPECT_EQ(harness.rest(),
+            (std::vector<std::string>{
+                net::protocol::status_line("read-error", "m", "no_such_file.v"),
+                net::protocol::status_line("bad-request", "m", "~deadline=abc x.v")}));
+  const std::string log = harness.log_text();
+  EXPECT_NE(log.find("control !models\n"), std::string::npos) << log;
+  EXPECT_NE(log.find("control !stats\n"), std::string::npos) << log;
+  EXPECT_NE(log.find("noodled: no_such_file.v: "), std::string::npos) << log;
+  EXPECT_NE(log.find("noodled: bad request: "), std::string::npos) << log;
+  EXPECT_EQ(log.find((*files_)[0]), std::string::npos) << log;  // TIMEOUT is no failure
+  EXPECT_EQ(harness.server.stream_failures(), 2u);
+  EXPECT_EQ(harness.server.stats().responses, 3u);
+}
+
+TEST_F(ScanServerFixture, StdioStreamIsNeverEvictedWhenIdle) {
+  serve::DetectionService service(registry_with_a(), "m");
+  net::ServerConfig config;
+  config.idle_timeout = 50ms;
+  config.write_stall_timeout = 50ms;
+  Pipe in;
+  StreamHarness harness(service, config, in.read_end.get());
+  std::this_thread::sleep_for(300ms);
+  ASSERT_TRUE(write_all(in.write_end.get(), (*files_)[0] + "\n"));
+  EXPECT_EQ(harness.out.read_line(5000), (*prefix_a_)[0] + "m@1\t" + (*files_)[0]);
+  const net::ServerStats stats = harness.server.stats();
+  EXPECT_EQ(stats.dropped, 0u);
+  EXPECT_EQ(stats.connections, 1u);
+}
+
+TEST_F(ScanServerFixture, StdioStreamAnswersEveryLineAtEofThenStopsTheLoop) {
+  serve::DetectionService service(registry_with_a(), "m");
+  Pipe in;
+  StreamHarness harness(service, net::ServerConfig{}, in.read_end.get());
+  std::string lines;
+  for (const std::string& file : *files_) lines += file + "\n";
+  lines += (*files_)[0];  // a last line without its newline is still a line
+  ASSERT_TRUE(write_all(in.write_end.get(), lines));
+  in.write_end.reset();
+  ASSERT_TRUE(harness.wait_drained());
+
+  const std::vector<std::string> answers = harness.rest();
+  ASSERT_EQ(answers.size(), files_->size() + 1);
+  for (std::size_t i = 0; i < answers.size(); ++i) {
+    const std::size_t idx = i % files_->size();
+    EXPECT_EQ(answers[i], (*prefix_a_)[idx] + "m@1\t" + (*files_)[idx]);
+  }
+  EXPECT_EQ(harness.server.stream_failures(), 0u);
+  EXPECT_EQ(harness.server.stats().connections, 0u);
+}
+
+TEST_F(ScanServerFixture, StdioStreamFromAFileOrDevNullDrainsAndStopsTheLoop) {
+  // epoll refuses both with EPERM; the loop reads them as always ready.
+  const std::filesystem::path list = dir_ / "requests.list";
+  {
+    std::ofstream out(list);
+    for (const std::string& file : *files_) out << file << "\n";
+  }
+  for (const std::filesystem::path& input : {list, std::filesystem::path("/dev/null")}) {
+    serve::DetectionService service(registry_with_a(), "m");
+    net::Fd in(::open(input.c_str(), O_RDONLY | O_CLOEXEC));
+    ASSERT_TRUE(in) << input;
+    StreamHarness harness(service, net::ServerConfig{}, in.get());
+    ASSERT_TRUE(harness.wait_drained()) << input;
+    const std::vector<std::string> answers = harness.rest();
+    const std::size_t expected = input == list ? files_->size() : 0;
+    ASSERT_EQ(answers.size(), expected) << input;
+    for (std::size_t i = 0; i < expected; ++i) {
+      EXPECT_EQ(answers[i], (*prefix_a_)[i] + "m@1\t" + (*files_)[i]);
+    }
+    EXPECT_EQ(harness.server.stream_failures(), 0u) << input;
+  }
+  std::filesystem::remove(list);
+}
+
+TEST_F(ScanServerFixture, StdioStreamLineOverTheCapEndsTheStream) {
+  serve::DetectionService service(registry_with_a(), "m");
+  Pipe in;
+  StreamHarness harness(service, net::ServerConfig{}, in.read_end.get());
+  ASSERT_TRUE(write_all(in.write_end.get(), std::string(net::kMaxLineBytes + 1, 'a')));
+  ASSERT_TRUE(harness.wait_drained());
+  EXPECT_TRUE(harness.rest().empty());
+  const net::ServerStats stats = harness.server.stats();
+  EXPECT_EQ(stats.protocol_errors, 1u);
+  EXPECT_EQ(stats.dropped, 1u);
+  EXPECT_EQ(harness.server.stream_failures(), 1u);
 }
 
 }  // namespace

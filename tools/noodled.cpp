@@ -1,8 +1,9 @@
 // noodled — the detection daemon: load one or more detector snapshots into
 // a serve::ModelRegistry, then serve Trojan scans over newline-delimited
-// request lines — on stdin (the default), or over TCP with --listen. The
-// end-to-end proof that fitted models are named, versioned, hot-swappable
-// artifacts:
+// request lines — on stdin (the default), or over TCP with --listen. Both
+// run on one serving loop: a net::ScanServer on one net::EventLoop, whose
+// one connection without --listen is stdin/stdout. The end-to-end proof
+// that fitted models are named, versioned, hot-swappable artifacts:
 //
 //   ./build/noodled --snapshot detector.noodle --quick    # first run: fits + saves
 //   ls designs/*.v | ./build/noodled --snapshot detector.noodle --stats
@@ -23,11 +24,12 @@
 //                          version of NAME — in-flight scans are neither
 //                          blocked nor re-answered (atomic registry swap)
 //   !models                list registered models (and recent reload events)
-//   !stats                 print service (and, in TCP mode, transport) counters
+//   !stats                 print service and transport counters
 //   !metrics               dump the Prometheus text exposition
 //                          (exposition lines only: `# ...` and `noodle_...`)
-//   !drain                 stdin: block until every pending verdict has been
-//                          printed (deterministic cache state for scripts);
+//   !drain                 stdin: a barrier that prints nothing — later lines
+//                          wait until every earlier answer is out
+//                          (deterministic cache state for scripts);
 //                          socket: begin graceful drain — stop accepting,
 //                          finish in-flight work, then exit 0
 //   !lint on|off           toggle the static-analysis pass at runtime
@@ -37,6 +39,14 @@
 //   !store rescan          sweep the --store directory for new snapshot
 //                          archives now (SIGHUP does the same)
 // Control output goes to stderr on stdin, back to the issuing client on TCP.
+//
+// stdin mode: stdout carries only verdict and status lines, in input order,
+// each written as soon as it and every earlier one are answered; control
+// output and per-request diagnostics go to stderr. There is no BUSY:
+// reading stops while --max-inflight requests are unanswered. No watchdog
+// evicts stdin. EOF, or SIGTERM/SIGINT, answers every request read, then
+// exits; a line over 1 MiB ends the stream. The exit status is 1 iff a
+// request line (TIMEOUT excepted) or a control line failed.
 //
 // Options:
 //   --snapshot FILE   load the default model from FILE if it exists;
@@ -55,10 +65,10 @@
 //                     attach findings to verdict lines as a lint= column
 //   --trace           start with the per-verdict trace= column on
 //   --metrics-file PATH   dump the Prometheus exposition to PATH every
-//                     --metrics-interval seconds, at clean exit, and on
-//                     SIGTERM/SIGINT — through util::AtomicFile (write-temp,
-//                     fsync, atomic rename), so a scraper never reads a torn
-//                     or half-durable file
+//                     --metrics-interval seconds and at exit (SIGTERM/SIGINT
+//                     drain, then exit) — through util::AtomicFile
+//                     (write-temp, fsync, atomic rename), so a scraper never
+//                     reads a torn or half-durable file
 //   --disk-cache DIR  persistent verdict cache: verdicts are published to
 //                     DIR (checksummed record per entry, crash-safe) and
 //                     answer in-memory misses across restarts; a fleet can
@@ -73,30 +83,33 @@
 //                     generation keeps serving. Polled every
 //                     --store-interval seconds; SIGHUP rescans immediately
 //   --store-interval N  seconds between store polls (default 2; 1..86400)
-//   --metrics-interval N  seconds between metrics dumps (default 10; 0 =
-//                     only at exit/signal)
+//   --metrics-interval N  seconds between metrics dumps (default 10;
+//                     0..86400; 0 = only at exit)
 //   --seed N          training seed (default 42)
 //   --stats           print service counters (total + per model) on exit
 //   --demo N          write N demo circuits under ./noodled_demo/ and print
 //                     their paths to stdout, then exit — composable with a
 //                     serving run:  noodled --demo 6 | noodled --snapshot S
 //
-// TCP transport (net::ScanServer; see DESIGN.md §11):
-//   --listen PORT     serve the request grammar over TCP instead of stdin
-//                     (port 0 = kernel-assigned; the bound port is printed
-//                     to stderr as "noodled: listening on ADDR:PORT").
-//                     SIGTERM/SIGINT begin a graceful drain: stop accepting,
-//                     answer BUSY to new work, finish or deadline-out
-//                     in-flight scans, flush the disk cache, exit 0
+// Serving loop (net::ScanServer; see DESIGN.md §11):
+//   --listen PORT     serve the request grammar over TCP instead of stdin,
+//                     which stays unread (port 0 = kernel-assigned; the
+//                     bound port is printed to stderr as "noodled: listening
+//                     on ADDR:PORT"). SIGTERM/SIGINT begin a graceful drain:
+//                     stop accepting, answer BUSY to new work, finish or
+//                     deadline-out in-flight scans, flush the disk cache,
+//                     exit 0
 //   --bind ADDR       listen address (default 127.0.0.1)
 //   --max-conns N     connection cap; excess accepts close immediately
 //                     (default 1024)
 //   --max-inflight N  socket scans in flight with the service; excess
-//                     answers BUSY instantly (default 256)
-//   --deadline-ms N   default per-request deadline for socket requests that
-//                     carry no ~deadline= flag (default 0 = none)
-//   --net-idle-ms N   evict connections idle this long (default 30000; 0 off)
-//   --net-stall-ms N  evict clients whose write buffer made no progress
+//                     answers BUSY instantly (default 256). On stdin,
+//                     reading stops while this many are unanswered
+//   --deadline-ms N   default per-request deadline for requests that carry
+//                     no ~deadline= flag (default 0 = none)
+//   --net-idle-ms N   evict TCP connections idle this long (default 30000;
+//                     0 off)
+//   --net-stall-ms N  evict TCP clients whose write buffer made no progress
 //                     this long (default 10000; 0 off)
 //   --drain-grace-ms N  force-close laggards this long after drain starts
 //                     (default 5000)
@@ -113,20 +126,18 @@
 //   trace=<id>:queue=120,feat=63,infer=85,lint=4,total=311
 // so `awk -F'\t'` still sees one column per request attribute.
 
-#include <poll.h>
+#include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <csignal>
-#include <deque>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -192,8 +203,9 @@ struct Options {
                " [--listen PORT] [--bind ADDR] [--max-conns N]"
                " [--max-inflight N] [--deadline-ms N] [--net-idle-ms N]"
                " [--net-stall-ms N] [--drain-grace-ms N]\n"
-               "reads newline-delimited request lines from stdin (or, with"
-               " --listen, over TCP):\n"
+               "reads newline-delimited request lines from stdin, answering on"
+               " stdout (or, with --listen, over TCP), until EOF or"
+               " SIGTERM/SIGINT:\n"
                "  PATH | MODEL:PATH | MODEL@VER:PATH | ~deadline=MS PATH |"
                " ~inline RTL | !reload NAME=PATH |"
                " !models | !stats | !metrics | !drain | !lint on|off |"
@@ -294,12 +306,15 @@ Options parse_options(int argc, char** argv) {
   if (options.store_interval == 0 || options.store_interval > 86400) {
     usage(argv[0], "--store-interval must be 1..86400 seconds");
   }
+  // The same cap keeps the dump period a positive clock duration; 0 dumps
+  // only at exit.
+  if (options.metrics_interval > 86400) {
+    usage(argv[0], "--metrics-interval must be 0..86400 seconds");
+  }
   if (options.listen >= 0 && options.net_max_conns == 0) {
     usage(argv[0], "--max-conns must be positive");
   }
-  if (options.listen >= 0 && options.net_max_inflight == 0) {
-    usage(argv[0], "--max-inflight must be positive");
-  }
+  if (options.net_max_inflight == 0) usage(argv[0], "--max-inflight must be positive");
   return options;
 }
 
@@ -368,8 +383,7 @@ void print_stats_line(std::ostream& out, const char* label,
 }
 
 void print_stats(std::ostream& out, const serve::DetectionService& service,
-                 const serve::SnapshotStore* store = nullptr,
-                 const net::ScanServer* server = nullptr) {
+                 const serve::SnapshotStore* store, const net::ScanServer& server) {
   print_stats_line(out, "total", service.stats());
   for (const auto& [name, stats] : service.stats_by_model()) {
     print_stats_line(out, name.c_str(), stats);
@@ -394,15 +408,13 @@ void print_stats(std::ostream& out, const serve::DetectionService& service,
     if (!s.last_error.empty()) out << " last_error=" << s.last_error;
     out << "\n";
   }
-  if (server != nullptr) {
-    const net::ServerStats n = server->stats();
-    out << "noodled stats[net]: accepted=" << n.accepted
-        << " dropped=" << n.dropped << " requests=" << n.requests
-        << " responses=" << n.responses << " shed=" << n.shed
-        << " timeouts=" << n.timeouts << " protocol_errors=" << n.protocol_errors
-        << " bytes_rx=" << n.bytes_rx << " bytes_tx=" << n.bytes_tx
-        << " connections=" << n.connections << " inflight=" << n.inflight << "\n";
-  }
+  const net::ServerStats n = server.stats();
+  out << "noodled stats[net]: accepted=" << n.accepted << " dropped=" << n.dropped
+      << " requests=" << n.requests << " responses=" << n.responses
+      << " shed=" << n.shed << " timeouts=" << n.timeouts
+      << " protocol_errors=" << n.protocol_errors << " bytes_rx=" << n.bytes_rx
+      << " bytes_tx=" << n.bytes_tx << " connections=" << n.connections
+      << " inflight=" << n.inflight << "\n";
 }
 
 void print_models(std::ostream& out, const serve::ModelRegistry& registry) {
@@ -442,22 +454,18 @@ bool dump_metrics(serve::DetectionService& service, const std::filesystem::path&
   return !file.commit();
 }
 
-/// Everything a "!..." control line may touch, for both serving modes.
-/// `server` is null on stdin; `trace_on` is the live toggle (the socket
-/// mode syncs it into ScanServer after each control line).
+/// Everything a "!..." control line may touch.
 struct ControlContext {
   serve::DetectionService& service;
   serve::ModelRegistry& registry;
   serve::SnapshotStore* store = nullptr;
-  net::ScanServer* server = nullptr;
-  bool trace_on = false;
+  net::ScanServer& server;
 };
 
-/// Handles every control line except "!drain" (whose meaning is per-mode:
-/// the stdin loop flushes its pending deque, the server runs its drain
-/// state machine before this is ever called). Output goes to `out` —
-/// stderr on stdin, the response buffer for the issuing TCP client.
-/// Returns false for malformed or failed controls.
+/// Handles every control line except "!drain", which the server handles
+/// itself (a barrier on stdin, the drain state machine on TCP). The server
+/// sends `out` to stderr on stdin, to the issuing client on TCP. Returns
+/// false for malformed or failed controls.
 bool handle_control_line(const std::string& line, ControlContext& ctx,
                          std::ostream& out) {
   std::istringstream control(line);
@@ -519,7 +527,7 @@ bool handle_control_line(const std::string& line, ControlContext& ctx,
       out << "noodled: !trace wants on|off, got '" << value << "'\n";
       return false;
     }
-    ctx.trace_on = value == "on";
+    ctx.server.set_trace(value == "on");
     out << "noodled: trace " << value << "\n";
   } else if (command == "!lint") {
     std::string value;
@@ -537,186 +545,18 @@ bool handle_control_line(const std::string& line, ControlContext& ctx,
   return true;
 }
 
-/// The stdin serving loop: request lines in, verdict lines out, plus the
-/// SignalPipe watcher thread (periodic + signal-triggered metrics dumps,
-/// SIGHUP store rescans). Returns the failure count.
-int run_stdin_mode(const Options& options, serve::DetectionService& service,
-                   serve::ModelRegistry& registry, serve::SnapshotStore* store,
-                   const std::string& default_model) {
-  // The signal-watcher thread: both serving modes observe signals through
-  // the one net::SignalPipe funnel — the handler writes a byte, and this
-  // thread (the event loop, in TCP mode) does the work as ordinary code.
-  // SIGTERM/SIGINT dump metrics, restore SIG_DFL, and re-raise, so the
-  // process still dies as expected; SIGHUP rescans the snapshot store.
-  std::atomic<bool> watcher_stop{false};
-  std::thread watcher_thread;
-  if (!options.metrics_file.empty() || store != nullptr) {
-    net::SignalPipe& signals = net::SignalPipe::instance();
-    if (!options.metrics_file.empty()) {
-      signals.hook(SIGTERM);
-      signals.hook(SIGINT);
-    }
-    if (store != nullptr) signals.hook(SIGHUP);
-    watcher_thread = std::thread([&service, &watcher_stop, &options, store] {
-      net::SignalPipe& signals = net::SignalPipe::instance();
-      using clock = std::chrono::steady_clock;
-      auto last_dump = clock::now();
-      while (!watcher_stop.load(std::memory_order_relaxed)) {
-        struct pollfd pfd = {signals.read_fd(), POLLIN, 0};
-        ::poll(&pfd, 1, 100);
-        int fatal = 0;
-        signals.drain([&](int signo) {
-          if (signo == SIGHUP) {
-            if (store != nullptr) {
-              std::cerr << "noodled: SIGHUP — rescanning snapshot store\n";
-              store->poke();
-            }
-          } else {
-            fatal = signo;
-          }
-        });
-        if (fatal != 0) {
-          dump_metrics(service, options.metrics_file);
-          signals.unhook(fatal);
-          std::raise(fatal);
-          return;
-        }
-        if (!options.metrics_file.empty() && options.metrics_interval > 0 &&
-            clock::now() - last_dump >=
-                std::chrono::seconds(options.metrics_interval)) {
-          if (!dump_metrics(service, options.metrics_file)) {
-            std::cerr << "noodled: metrics dump to "
-                      << options.metrics_file.string() << " failed\n";
-          }
-          last_dump = clock::now();
-        }
-      }
-    });
-  }
-
-  ControlContext ctx{service, registry, store, nullptr, options.trace};
-  int failures = 0;
-
-  struct Pending {
-    std::string echo;    ///< path, or "<inline>" for inline RTL
-    std::string model;   ///< requested spec; verdict lines prefer served_by
-    std::string status;  ///< early failure status ("read-error", "bad-request")
-    std::future<core::DetectionReport> verdict;
-  };
-  std::deque<Pending> pending;
-
-  // Verdicts stream out in input order as they complete, so a producer
-  // that keeps the pipe open sees results live instead of at EOF.
-  const auto print_front = [&] {
-    Pending& request = pending.front();
-    if (!request.status.empty()) {
-      std::cout << net::protocol::status_line(request.status.c_str(), request.model,
-                                              request.echo)
-                << "\n";
-      ++failures;
-    } else {
-      try {
-        const core::DetectionReport report = request.verdict.get();
-        std::cout << net::protocol::verdict_line(report, request.echo, ctx.trace_on)
-                  << "\n";
-      } catch (const serve::DeadlineError&) {
-        // The request asked for a deadline and missed it — expected
-        // behaviour under load, not a serving failure.
-        std::cout << net::protocol::status_line("TIMEOUT", request.model,
-                                                request.echo)
-                  << "\n";
-      } catch (const serve::RegistryError& e) {
-        std::cout << net::protocol::status_line("no-model", request.model,
-                                                request.echo)
-                  << "\n";
-        std::cerr << "noodled: " << request.echo << ": " << e.what() << "\n";
-        ++failures;
-      } catch (const std::exception& e) {
-        std::cout << net::protocol::status_line("parse-error", request.model,
-                                                request.echo)
-                  << "\n";
-        std::cerr << "noodled: " << request.echo << ": " << e.what() << "\n";
-        ++failures;
-      }
-    }
-    std::cout.flush();
-    pending.pop_front();
-  };
-  const auto flush_ready = [&] {
-    while (!pending.empty() &&
-           (!pending.front().status.empty() ||
-            pending.front().verdict.wait_for(std::chrono::seconds(0)) ==
-                std::future_status::ready)) {
-      print_front();
-    }
-  };
-
-  // Blocking backpressure bound: never hold more in-flight requests than a
-  // few full batches per worker, so arbitrarily long input stays bounded.
-  const std::size_t max_pending =
-      std::max<std::size_t>(256, options.batch * options.workers * 4);
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    if (line.empty()) continue;
-
-    if (line.front() == '!') {  // control line
-      std::istringstream control(line);
-      std::string command;
-      control >> command;
-      if (command == "!drain") {
-        while (!pending.empty()) print_front();
-        continue;
-      }
-      if (!handle_control_line(line, ctx, std::cerr)) ++failures;
-      continue;
-    }
-
-    const net::protocol::RequestLine request_line = net::protocol::parse_request_line(
-        line, [&registry](const std::string& name) {
-          return static_cast<bool>(registry.try_resolve(serve::ModelSpec{name, 0}));
-        });
-    Pending request;
-    request.model = request_line.spec.empty() ? default_model : request_line.spec;
-    if (!request_line.error.empty()) {
-      request.echo = line;
-      request.status = "bad-request";
-      std::cerr << "noodled: bad request: " << request_line.error << "\n";
-    } else if (request_line.inline_rtl) {
-      request.echo = net::protocol::kInlineEcho;
-      request.verdict = service.submit(request.model, request_line.body,
-                                       serve::SubmitOptions{request_line.deadline});
-    } else {
-      request.echo = request_line.body;
-      std::optional<std::string> source =
-          util::read_regular_file(request_line.body, net::kMaxLineBytes);
-      if (!source) {
-        request.status = "read-error";
-      } else {
-        request.verdict = service.submit(request.model, std::move(*source),
-                                         serve::SubmitOptions{request_line.deadline});
-      }
-    }
-    pending.push_back(std::move(request));
-    flush_ready();
-    while (pending.size() >= max_pending) print_front();
-  }
-  while (!pending.empty()) print_front();
-
-  watcher_stop.store(true, std::memory_order_relaxed);
-  if (watcher_thread.joinable()) watcher_thread.join();
-  return failures;
-}
-
-/// The TCP serving mode: one net::EventLoop thread runs the ScanServer
-/// until a graceful drain (SIGTERM/SIGINT/!drain) completes. Returns the
-/// control-failure count (request failures are the clients' to observe).
-int run_socket_mode(const Options& options, serve::DetectionService& service,
-                    serve::ModelRegistry& registry, serve::SnapshotStore* store,
-                    const std::string& /*default_model*/) {
+/// The one serving loop: a net::ScanServer on one net::EventLoop thread,
+/// fed by TCP clients with --listen and by stdin/stdout without. Runs until
+/// the drain completes — EOF on stdin, SIGTERM/SIGINT, or "!drain" over
+/// TCP — then stops the store, writes the last metrics dump and flushes
+/// the disk cache. Returns the exit status: 1 if a control line failed, a
+/// stdin request line failed (TIMEOUT excepted), or the last dump did.
+int run_serving_loop(const Options& options, serve::DetectionService& service,
+                     serve::ModelRegistry& registry, serve::SnapshotStore* store) {
   net::EventLoop loop;
   net::ServerConfig config;
   config.bind_address = options.bind_address;
-  config.port = static_cast<std::uint16_t>(options.listen);
+  config.port = static_cast<std::uint16_t>(std::max(options.listen, 0));
   config.max_connections = options.net_max_conns;
   config.max_inflight = options.net_max_inflight;
   config.default_deadline = std::chrono::milliseconds(options.net_deadline_ms);
@@ -726,19 +566,18 @@ int run_socket_mode(const Options& options, serve::DetectionService& service,
   net::ScanServer server(loop, service, config);
   server.set_trace(options.trace);
 
-  ControlContext ctx{service, registry, store, &server, options.trace};
+  ControlContext ctx{service, registry, store, server};
   int failures = 0;
   server.set_control_handler([&](const std::string& line) {
     std::ostringstream out;
     if (!handle_control_line(line, ctx, out)) ++failures;
-    server.set_trace(ctx.trace_on);
     return out.str();
   });
   server.set_on_drained([&loop] { loop.stop(); });
 
-  // Same SignalPipe funnel as stdin mode, observed by epoll instead of a
-  // watcher thread: SIGTERM/SIGINT begin the drain (and the loop exits
-  // when it completes), SIGHUP rescans the snapshot store.
+  // Signals arrive through the SignalPipe funnel as loop callbacks:
+  // SIGTERM/SIGINT begin the drain (and the loop exits when it completes),
+  // SIGHUP rescans the snapshot store.
   const auto drain_on_signal = [&server](int signo) {
     std::cerr << "noodled: signal " << signo << " — draining\n";
     server.begin_drain();
@@ -770,22 +609,43 @@ int run_socket_mode(const Options& options, serve::DetectionService& service,
   }
 
   try {
-    server.start();
+    if (options.listen < 0) {
+      // fd 0 and fd 1 share their file descriptions with the parent shell,
+      // so they keep the blocking mode they came with.
+      server.serve_stream(STDIN_FILENO, STDOUT_FILENO,
+                          [](std::string_view text) { std::cerr << text; });
+    } else {
+      server.start();
+      std::cerr << "noodled: listening on " << options.bind_address << ":"
+                << server.port() << "\n";
+    }
   } catch (const std::system_error& e) {
-    std::cerr << "noodled: cannot listen on " << options.bind_address << ":"
-              << options.listen << ": " << e.what() << "\n";
+    std::cerr << "noodled: cannot serve: " << e.what() << "\n";
     return 1;
   }
-  std::cerr << "noodled: listening on " << options.bind_address << ":"
-            << server.port() << "\n";
   loop.run();
 
   const net::ServerStats n = server.stats();
   std::cerr << "noodled: drained — accepted=" << n.accepted
             << " requests=" << n.requests << " responses=" << n.responses
             << " shed=" << n.shed << " timeouts=" << n.timeouts << "\n";
-  if (options.stats) print_stats(std::cerr, service, store, &server);
-  return failures;
+  if (store != nullptr) store->stop();
+  if (!options.metrics_file.empty()) {
+    // Final dump at clean exit, so short-lived runs leave a complete
+    // scrape behind even when no interval ever elapsed.
+    if (!dump_metrics(service, options.metrics_file)) {
+      std::cerr << "noodled: metrics dump to " << options.metrics_file.string()
+                << " failed\n";
+      ++failures;
+    }
+  }
+  if (service.disk_cache() != nullptr) {
+    // Orderly exit gets queued verdicts onto disk; a crash would drop them
+    // (by design), but there is no reason to imitate one here.
+    service.disk_cache()->flush();
+  }
+  if (options.stats) print_stats(std::cerr, service, store, server);
+  return failures == 0 && server.stream_failures() == 0 ? 0 : 1;
 }
 
 }  // namespace
@@ -878,27 +738,5 @@ int main(int argc, char** argv) {
     store->start();
   }
 
-  int failures =
-      options.listen >= 0
-          ? run_socket_mode(options, service, *registry, store.get(), default_model)
-          : run_stdin_mode(options, service, *registry, store.get(), default_model);
-
-  if (store != nullptr) store->stop();
-  if (!options.metrics_file.empty()) {
-    // Final dump at clean exit, so short-lived runs leave a complete
-    // scrape behind even when no interval ever elapsed.
-    if (!dump_metrics(service, options.metrics_file)) {
-      std::cerr << "noodled: metrics dump to " << options.metrics_file.string()
-                << " failed\n";
-      ++failures;
-    }
-  }
-
-  if (service.disk_cache() != nullptr) {
-    // Orderly exit gets queued verdicts onto disk; a crash would drop them
-    // (by design), but there is no reason to imitate one here.
-    service.disk_cache()->flush();
-  }
-  if (options.stats && options.listen < 0) print_stats(std::cerr, service, store.get());
-  return failures == 0 ? 0 : 1;
+  return run_serving_loop(options, service, *registry, store.get());
 }
